@@ -44,9 +44,6 @@ from .montecarlo import (
     MCConfig,
     MCEstimate,
     raised_bound_table,
-    sample_orthogonal_pair,
-    sample_orthogonal_triad,
-    sample_unit_vector,
     violation_histogram,
     violation_probability,
 )
@@ -96,9 +93,6 @@ __all__ = [
     "critical_mu",
     "critical_alpha",
     "sweep",
-    "sample_unit_vector",
-    "sample_orthogonal_pair",
-    "sample_orthogonal_triad",
     "violation_probability",
     "violation_histogram",
     "raised_bound_table",

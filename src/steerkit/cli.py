@@ -160,19 +160,14 @@ def _cmd_mc(args) -> int:
 
 
 def _threshold_criterion(args) -> criteria.Criterion:
-    if args.criterion == "shannon":
-        return criteria.Criterion("shannon")
     if args.criterion == "tsallis":
         return criteria.Criterion("tsallis", q=args.q)
     if args.criterion == "renyi":
         try:
-            r_text, s_text = args.rs.split(",")
-            r = math.inf if r_text.strip() == "inf" else float(r_text)
-            s = math.inf if s_text.strip() == "inf" else float(s_text)
+            return criteria.Criterion.parse(f"renyi({args.rs})")
         except ValueError:
-            raise UsageError(f"--rs must be R,S (inf allowed), got {args.rs!r}") from None
-        return criteria.Criterion("renyi", r=r, s=s)
-    return criteria.Criterion("db")
+            raise UsageError(f"--rs must be R,S (inf or oo allowed), got {args.rs!r}") from None
+    return criteria.Criterion(args.criterion)
 
 
 def _cmd_threshold(args) -> int:

@@ -57,8 +57,10 @@ class Criterion:
     def __post_init__(self):
         if self.kind not in ("shannon", "tsallis", "renyi", "db"):
             raise ValueError(f"unknown criterion {self.kind!r}")
-        if self.kind == "tsallis" and (self.q is None or self.q < 1.0):
-            raise ValueError("tsallis criterion needs an order q >= 1")
+        if self.kind == "tsallis" and not (
+            self.q is not None and math.isfinite(self.q) and self.q >= 1.0
+        ):
+            raise ValueError(f"tsallis criterion needs a finite order q >= 1, got {self.q}")
         if self.kind == "renyi":
             r = 0.5 if self.r is None else self.r
             s = math.inf if self.s is None else self.s

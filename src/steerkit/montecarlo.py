@@ -17,6 +17,9 @@ Sampling schemes
     Completely random (generally non-orthogonal) measurements: every
     direction is an independent isotropic unit vector.
 
+A scheme only draws the parties' direction arrays; one reduction turns them
+into the criterion's geometric factor.
+
 Determinism
 -----------
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -81,8 +85,8 @@ class MCConfig:
         object.__setattr__(self, "mu_grid", mu_grid)
         if self.n_samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
-        if self.bound_factor <= 0.0:
-            raise ValueError(f"bound factor must be positive, got {self.bound_factor}")
+        if not (math.isfinite(self.bound_factor) and self.bound_factor > 0.0):
+            raise ValueError(f"bound factor must be positive and finite, got {self.bound_factor}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -169,71 +173,58 @@ def _dihedral_pairs(uniforms: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def sample_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    """Isotropic unit vector (normalised 3-component Gaussian)."""
-    g = rng.standard_normal(3)
-    return g / np.linalg.norm(g)
+#: Bob's fixed (z, x) measurement pair in the dihedral scheme.
+_BOB_DIHEDRAL_PAIR = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 
-def sample_orthogonal_pair(rng: np.random.Generator, scheme: str = "haar"):
-    """One orthonormal measurement pair under a ROM scheme."""
+def _draw_directions(scheme: str, m: int, rng: np.random.Generator, n: int):
+    """Alice's and Bob's measurement directions, arrays of shape (n, m, 3).
+
+    Draw layout per chunk is fixed (one array per party in scheme order), so
+    a sample's directions depend only on (seed, chunk index, position in
+    chunk).  Bob's dihedral pair is fixed and broadcasts as (m, 3).
+    """
     if scheme == "dihedral":
-        pair = _dihedral_pairs(rng.random((1, 3)))[0]
-    elif scheme == "haar":
-        rot = _rotations_from_quaternions(rng.standard_normal((1, 4)))[0]
-        pair = rot[:, :2].T
-    else:
-        raise ValueError(f"orthogonal pairs come from 'dihedral' or 'haar', got {scheme!r}")
-    return pair[0], pair[1]
-
-
-def sample_orthogonal_triad(rng: np.random.Generator):
-    """Right-handed orthonormal triad from an isotropic rotation."""
-    rot = _rotations_from_quaternions(rng.standard_normal((1, 4)))[0]
-    return rot[:, 0], rot[:, 1], rot[:, 2]
+        return _dihedral_pairs(rng.random((n, 3))), _BOB_DIHEDRAL_PAIR
+    if scheme == "haar":
+        # measurement directions are the first m columns of each rotation
+        rot_a = _rotations_from_quaternions(rng.standard_normal((n, 4)))
+        rot_b = _rotations_from_quaternions(rng.standard_normal((n, 4)))
+        return rot_a[:, :, :m].swapaxes(1, 2), rot_b[:, :, :m].swapaxes(1, 2)
+    if scheme == "isotropic":
+        vecs_a = rng.standard_normal((n, m, 3))
+        vecs_b = rng.standard_normal((n, m, 3))
+        vecs_a /= np.linalg.norm(vecs_a, axis=2, keepdims=True)
+        vecs_b /= np.linalg.norm(vecs_b, axis=2, keepdims=True)
+        return vecs_a, vecs_b
+    raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------
 # vectorised chunk engine
 # ---------------------------------------------------------------------------
 
-_BOB_PAIR_NORMAL = np.array([0.0, 1.0, 0.0])  # plane normal of Bob's fixed (z, x) pair
+
+def _triple_product(vecs: np.ndarray) -> np.ndarray:
+    """det of (..., 3, 3) direction triads as v1 . (v2 x v3)."""
+    return np.einsum("...i,...i->...", vecs[..., 0, :], np.cross(vecs[..., 1, :], vecs[..., 2, :]))
+
+
+def _geometry(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Vector-form LHS at mu = 1 from (..., m, 3) direction arrays.
+
+    |(a1 x a2) . (b1 x b2)| for pairs, |det A| |det B| for triads.
+    """
+    if alice.shape[-2] == 2:
+        normal_a = np.cross(alice[..., 0, :], alice[..., 1, :])
+        normal_b = np.cross(bob[..., 0, :], bob[..., 1, :])
+        return np.abs(np.einsum("...i,...i->...", normal_a, normal_b))
+    return np.abs(_triple_product(alice)) * np.abs(_triple_product(bob))
 
 
 def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) -> np.ndarray:
-    """Geometric factor per sample: the vector-form LHS at mu = 1.
-
-    Draw layout per chunk is fixed (one array per party in scheme order), so
-    a sample's value depends only on (seed, chunk index, position in chunk).
-    """
-    rng = chunk_rng(seed, chunk_index)
-    if scheme == "dihedral":
-        alice = _dihedral_pairs(rng.random((n, 3)))
-        normals = np.cross(alice[:, 0], alice[:, 1])
-        return np.abs(normals @ _BOB_PAIR_NORMAL)
-    if scheme == "haar":
-        rot_a = _rotations_from_quaternions(rng.standard_normal((n, 4)))
-        rot_b = _rotations_from_quaternions(rng.standard_normal((n, 4)))
-        if m == 2:
-            n_a = np.cross(rot_a[:, :, 0], rot_a[:, :, 1])
-            n_b = np.cross(rot_b[:, :, 0], rot_b[:, :, 1])
-            return np.abs(np.einsum("ij,ij->i", n_a, n_b))
-        det_a = np.einsum("ij,ij->i", rot_a[:, :, 0], np.cross(rot_a[:, :, 1], rot_a[:, :, 2]))
-        det_b = np.einsum("ij,ij->i", rot_b[:, :, 0], np.cross(rot_b[:, :, 1], rot_b[:, :, 2]))
-        return np.abs(det_a) * np.abs(det_b)
-    if scheme == "isotropic":
-        vecs_a = rng.standard_normal((n, m, 3))
-        vecs_b = rng.standard_normal((n, m, 3))
-        vecs_a /= np.linalg.norm(vecs_a, axis=2, keepdims=True)
-        vecs_b /= np.linalg.norm(vecs_b, axis=2, keepdims=True)
-        if m == 2:
-            n_a = np.cross(vecs_a[:, 0], vecs_a[:, 1])
-            n_b = np.cross(vecs_b[:, 0], vecs_b[:, 1])
-            return np.abs(np.einsum("ij,ij->i", n_a, n_b))
-        det_a = np.einsum("ij,ij->i", vecs_a[:, 0], np.cross(vecs_a[:, 1], vecs_a[:, 2]))
-        det_b = np.einsum("ij,ij->i", vecs_b[:, 0], np.cross(vecs_b[:, 1], vecs_b[:, 2]))
-        return np.abs(det_a) * np.abs(det_b)
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
+    """Geometric factor per sample of one chunk: the vector-form LHS at mu = 1."""
+    return _geometry(*_draw_directions(scheme, m, chunk_rng(seed, chunk_index), n))
 
 
 def _chunk_plan(n_samples: int):
@@ -245,19 +236,41 @@ def _chunk_plan(n_samples: int):
 
 
 def _map_chunks(task, plan, n_workers: int):
-    if n_workers <= 1:
+    """Run ``task`` over the plan in chunk order, on at most one thread per chunk and CPU."""
+    if n_workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {n_workers}")
+    n_threads = min(n_workers, len(plan), os.cpu_count() or 1)
+    if n_threads <= 1:
         return [task(c, size) for c, size in plan]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
         futures = [pool.submit(task, c, size) for c, size in plan]
         return [f.result() for f in futures]
 
 
-def _geometry_thresholds(cfg: MCConfig) -> np.ndarray:
-    """Per-mu thresholds in geometry space: factor * T_m / mu^m (inf at mu = 0)."""
-    base = cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
-    return np.array(
-        [base / mu ** cfg.m if mu > 0.0 else math.inf for mu in cfg.mu_grid]
+def _estimate_cells(m: int, scheme: str, cells, n_samples: int, seed: int, n_workers: int):
+    """One :class:`MCEstimate` per (mu, bound factor) cell, all from one sample set.
+
+    A sample violates a cell when its geometry exceeds factor * T_m / mu^m
+    (never at mu = 0); per-chunk counts are merged in chunk order.
+    """
+    thresholds = np.array(
+        [
+            factor * DB_VECTOR_THRESHOLD[m] / mu ** m if mu > 0.0 else math.inf
+            for mu, factor in cells
+        ]
     )
+
+    def task(chunk_index, size):
+        geom = _chunk_geometry(scheme, m, seed, chunk_index, size)
+        return (geom[None, :] > thresholds[:, None]).sum(axis=1)
+
+    counts = sum(_map_chunks(task, _chunk_plan(n_samples), n_workers))
+    estimates = []
+    for (mu, factor), count in zip(cells, counts):
+        p = count / n_samples
+        stderr = math.sqrt(p * (1.0 - p) / n_samples)
+        estimates.append(MCEstimate(m, scheme, mu, factor, n_samples, p, stderr))
+    return estimates
 
 
 def violation_probability(cfg: MCConfig, n_workers: int = 1):
@@ -266,22 +279,8 @@ def violation_probability(cfg: MCConfig, n_workers: int = 1):
     Returns one :class:`MCEstimate` per grid point.  A configuration's
     violation counts are bit-identical across worker counts.
     """
-    thresholds = _geometry_thresholds(cfg)
-    plan = _chunk_plan(cfg.n_samples)
-
-    def task(chunk_index, size):
-        geom = _chunk_geometry(cfg.scheme, cfg.m, cfg.seed, chunk_index, size)
-        return (geom[None, :] > thresholds[:, None]).sum(axis=1)
-
-    counts = sum(_map_chunks(task, plan, n_workers))
-    estimates = []
-    for mu, count in zip(cfg.mu_grid, counts):
-        p = count / cfg.n_samples
-        stderr = math.sqrt(p * (1.0 - p) / cfg.n_samples)
-        estimates.append(
-            MCEstimate(cfg.m, cfg.scheme, mu, cfg.bound_factor, cfg.n_samples, p, stderr)
-        )
-    return estimates
+    cells = [(mu, cfg.bound_factor) for mu in cfg.mu_grid]
+    return _estimate_cells(cfg.m, cfg.scheme, cells, cfg.n_samples, cfg.seed, n_workers)
 
 
 def violation_histogram(cfg: MCConfig, bins: int = 50, n_workers: int = 1) -> ViolationHistogram:
@@ -346,40 +345,11 @@ def raised_bound_table(
     one estimate per bound factor, all at the same ``mu``.  Each row reuses
     one set of geometry samples across the factors.
     """
-    factors = tuple(float(f) for f in factors)
-    table = []
-    for m, scheme in RAISED_BOUND_ROWS:
-        plan = _chunk_plan(n_samples)
-        thresholds = np.array(
-            [f * DB_VECTOR_THRESHOLD[m] / mu ** m if mu > 0.0 else math.inf for f in factors]
-        )
-
-        def task(chunk_index, size, m=m, scheme=scheme, thresholds=thresholds):
-            geom = _chunk_geometry(scheme, m, seed, chunk_index, size)
-            return (geom[None, :] > thresholds[:, None]).sum(axis=1)
-
-        counts = sum(_map_chunks(task, plan, n_workers))
-        row = []
-        for factor, count in zip(factors, counts):
-            p = count / n_samples
-            stderr = math.sqrt(p * (1.0 - p) / n_samples)
-            row.append(MCEstimate(m, scheme, mu, factor, n_samples, p, stderr))
-        table.append(row)
-    return table
-
-
-def dihedral_violation_probability(mu: float, bound_factor: float = 1.0) -> float:
-    """Analytic violation probability of the two-setting dihedral scheme.
-
-    P = acos(x)/(pi/2) with x = factor/(2 mu^2), clamped to [0, 1]; the
-    Monte Carlo estimator converges to this value.
-    """
-    if mu <= 0.0:
-        return 0.0
-    x = bound_factor / (2.0 * mu ** 2)
-    if x >= 1.0:
-        return 0.0
-    return math.acos(x) / (math.pi / 2.0)
+    cells = [(mu, float(factor)) for factor in factors]
+    return [
+        _estimate_cells(m, scheme, cells, n_samples, seed, n_workers)
+        for m, scheme in RAISED_BOUND_ROWS
+    ]
 
 
 MC_CSV_HEADER = ["m", "scheme", "mu", "bound_factor", "n_samples", "p_violation", "stderr"]

@@ -126,6 +126,23 @@ class TestMcCommand:
         threaded = run_cli(*base, "--workers", "8")
         assert serial.stdout == threaded.stdout
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--bound-factor", "nan"),
+            ("--bound-factor", "inf"),
+            ("--workers", "0"),
+            ("--workers", "-3"),
+        ],
+    )
+    def test_bad_bound_factor_or_workers_is_usage_error(self, flags):
+        # a NaN threshold compares False with every sample and would read as p = 0
+        result = run_cli(
+            "mc", "--m", "2", "--class", "rom", "--mu-grid", "1", "--samples", "1000", *flags
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+
     def test_incompatible_class_scheme(self):
         result = run_cli(
             "mc", "--m", "2", "--class", "rom", "--scheme", "isotropic",
@@ -180,6 +197,22 @@ class TestThresholdCommand:
         )
         payload = json.loads(result.stdout)
         assert abs(payload["critical_alpha_deg"] - 43.406) < 0.3
+
+    def test_renyi_orders_parse_like_sweep_criteria(self):
+        # --rs goes through the same order parser as sweep's renyi(R,S)
+        base = ("threshold", "--criterion", "renyi", "--mu", "0.9733")
+        outputs = [run_cli(*base, "--rs", f"{r},0.5") for r in ("inf", "infinity", "oo")]
+        assert [out.returncode for out in outputs] == [0, 0, 0]
+        assert outputs[0].stdout == outputs[1].stdout == outputs[2].stdout
+        assert json.loads(outputs[0].stdout)["order"] == "r=inf,s=0.5"
+        sweep = run_cli("sweep", "--m", "2", "--mu", "0.9733", "--criteria", "renyi(oo,0.5)")
+        assert sweep.returncode == 0
+        assert run_cli(*base, "--rs", "0.5").returncode == 2
+
+    def test_nan_tsallis_order_is_usage_error(self):
+        result = run_cli("threshold", "--criterion", "tsallis", "--q", "nan", "--mu", "0.9733")
+        assert result.returncode == 2
+        assert result.stdout == ""
 
 
 class TestAnalyzeCommand:

@@ -68,6 +68,12 @@ class TestCriterionParsing:
             with pytest.raises(ValueError):
                 Criterion.parse(token)
 
+    @pytest.mark.parametrize("q", [math.nan, INF, None, 0.5])
+    def test_tsallis_order_must_be_finite_and_at_least_one(self, q):
+        # NaN compares False with 1, so "q < 1" alone lets it through
+        with pytest.raises(ValueError):
+            Criterion("tsallis", q=q)
+
 
 class TestTsallisSteering:
     def test_aligned_singlet_q2(self):

@@ -1,25 +1,26 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from oracles import crm_probability, dihedral_probability, ks_statistic
+from steerkit import montecarlo
 from steerkit.montecarlo import (
     CHUNK_SIZE,
     MCConfig,
+    _chunk_geometry,
+    _draw_directions,
+    _map_chunks,
+    _rotations_from_quaternions,
     chunk_rng,
     estimates_to_csv,
     histogram_to_csv,
     measurement_class,
     raised_bound_table,
-    sample_orthogonal_pair,
-    sample_orthogonal_triad,
-    sample_unit_vector,
     violation_histogram,
     violation_probability,
 )
-
-Y = np.array([0.0, 1.0, 0.0])
 
 
 def within_stderr(estimate, target, n_sigma=4.0, floor=1e-4):
@@ -50,12 +51,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MCConfig(**{**good, "bound_factor": 0.0})
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bound_factor(self, factor):
+        # a NaN threshold compares False everywhere and would report p = 0
+        with pytest.raises(ValueError):
+            MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10, bound_factor=factor)
+
+
+def assert_orthonormal_rows(vecs):
+    """Rows of each (..., k, 3) block are orthonormal to 1e-12."""
+    gram = np.einsum("...ij,...kj->...ik", vecs, vecs)
+    assert np.allclose(gram, np.eye(vecs.shape[-2]), rtol=0.0, atol=1e-12)
+
 
 class TestSamplers:
+    """The chunk engine's direction arrays and geometry factors."""
+
     def test_unit_vector_norm_and_isotropy(self):
-        rng = chunk_rng(42, 0)
-        vecs = np.array([sample_unit_vector(rng) for _ in range(20000)])
-        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        alice, bob = _draw_directions("isotropic", 2, chunk_rng(42, 0), 10000)
+        vecs = np.concatenate([alice, bob]).reshape(-1, 3)
+        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0.0, atol=1e-12)
         # component means are 0 +- 4 sigma, second moment 1/3
         sigma = math.sqrt(1.0 / 3.0 / len(vecs))
         assert np.all(np.abs(vecs.mean(axis=0)) < 4.0 * sigma)
@@ -63,49 +78,91 @@ class TestSamplers:
 
     @pytest.mark.parametrize("scheme", ["dihedral", "haar"])
     def test_pairs_orthonormal(self, scheme):
-        rng = chunk_rng(43, 0)
-        for _ in range(200):
-            a1, a2 = sample_orthogonal_pair(rng, scheme)
-            assert np.isclose(np.linalg.norm(a1), 1.0, atol=1e-12)
-            assert np.isclose(np.linalg.norm(a2), 1.0, atol=1e-12)
-            assert np.isclose(np.dot(a1, a2), 0.0, atol=1e-12)
+        alice, bob = _draw_directions(scheme, 2, chunk_rng(43, 0), 200)
+        assert alice.shape == (200, 2, 3)
+        assert_orthonormal_rows(alice)
+        assert_orthonormal_rows(bob)
 
     def test_dihedral_angle_uniform(self):
-        rng = chunk_rng(44, 0)
-        gammas = []
-        for _ in range(20000):
-            a1, a2 = sample_orthogonal_pair(rng, "dihedral")
-            normal = np.cross(a1, a2)
-            gammas.append(math.degrees(math.acos(min(1.0, abs(np.dot(normal, Y))))))
+        # dihedral geometry is |n_A . y| = cos(gamma)
+        geom = _chunk_geometry("dihedral", 2, 44, 0, 20000)
+        gammas = np.degrees(np.arccos(np.minimum(1.0, geom)))
         stat = ks_statistic(gammas, lambda g: np.clip(g / 90.0, 0.0, 1.0))
         assert stat < 1.5 * 1.36 / math.sqrt(len(gammas))
 
     def test_haar_plane_normal_cosine_uniform(self):
-        rng = chunk_rng(45, 0)
-        cosines = []
-        for _ in range(20000):
-            a1, a2 = sample_orthogonal_pair(rng, "haar")
-            b1, b2 = sample_orthogonal_pair(rng, "haar")
-            cosines.append(abs(np.dot(np.cross(a1, a2), np.cross(b1, b2))))
+        cosines = _chunk_geometry("haar", 2, 45, 0, 20000)
         stat = ks_statistic(cosines, lambda c: np.clip(c, 0.0, 1.0))
         assert stat < 1.5 * 1.36 / math.sqrt(len(cosines))
 
-    def test_pair_rejects_unknown_scheme(self):
+    def test_draw_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            sample_orthogonal_pair(chunk_rng(0, 0), "isotropic")
+            _draw_directions("other", 2, chunk_rng(0, 0), 1)
+        with pytest.raises(ValueError):
+            _chunk_geometry("other", 2, 0, 0, 1)
 
     def test_triads_right_handed_orthonormal(self):
-        rng = chunk_rng(46, 0)
-        firsts = []
-        for _ in range(2000):
-            v1, v2, v3 = sample_orthogonal_triad(rng)
-            triad = np.stack([v1, v2, v3])
-            assert np.allclose(triad @ triad.T, np.eye(3), atol=1e-12)
-            assert np.isclose(np.dot(v1, np.cross(v2, v3)), 1.0, atol=1e-12)
-            firsts.append(v1)
-        firsts = np.array(firsts)
+        rot = _rotations_from_quaternions(chunk_rng(46, 0).standard_normal((2000, 4)))
+        assert_orthonormal_rows(rot)
+        assert np.allclose(np.linalg.det(rot), 1.0, rtol=0.0, atol=1e-12)
+        triads, _ = _draw_directions("haar", 3, chunk_rng(46, 0), 2000)
+        assert np.array_equal(triads, rot.swapaxes(1, 2))  # directions are the columns
+        firsts = triads[:, 0]
         sigma = math.sqrt(1.0 / 3.0 / len(firsts))
         assert np.all(np.abs(firsts.mean(axis=0)) < 5.0 * sigma)
+        # |det A| |det B| = 1: the three-setting step function
+        assert np.allclose(_chunk_geometry("haar", 3, 46, 0, 2000), 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_geometry_matches_linear_algebra(self, m):
+        # the shared reduction against textbook formulas on isotropic directions
+        alice, bob = _draw_directions("isotropic", m, chunk_rng(48, 0), 500)
+        if m == 2:
+            expected = np.abs(
+                np.sum(np.cross(alice[:, 0], alice[:, 1]) * np.cross(bob[:, 0], bob[:, 1]), axis=1)
+            )
+        else:
+            expected = np.abs(np.linalg.det(alice)) * np.abs(np.linalg.det(bob))
+        geom = _chunk_geometry("isotropic", m, 48, 0, 500)
+        assert np.allclose(geom, expected, rtol=0.0, atol=1e-12)
+
+
+class TestWorkers:
+    def test_rejects_worker_count_below_one(self):
+        cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10)
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                violation_probability(cfg, n_workers=workers)
+
+    @pytest.mark.parametrize(
+        "n_workers, n_chunks, cpus, expected",
+        [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 10, None, None)],
+    )
+    def test_thread_count_capped(self, monkeypatch, n_workers, n_chunks, cpus, expected):
+        """At most min(workers, chunks, CPUs) threads; one thread runs serially."""
+        started = []
+
+        class RecordingExecutor:
+            # runs tasks inline, so no real pool is ever started
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        plan = [(c, 1) for c in range(n_chunks)]
+        assert _map_chunks(lambda c, size: c, plan, n_workers) == list(range(n_chunks))
+        assert started == ([] if expected is None else [expected])
 
 
 class TestViolationProbability:
