@@ -138,25 +138,46 @@ def _cmd_mc(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    estimates = montecarlo.violation_probability(cfg, n_workers=args.workers)
+    hist_out, hist_error = _histogram_request(args, cfg)
+    if args.hist is None or hist_error is not None:
+        estimates = montecarlo.violation_probability(cfg, n_workers=args.workers)
+    else:
+        # one pass fills both the counts and the histogram bins
+        estimates, bin_counts = montecarlo.violation_probability(
+            cfg, n_workers=args.workers, hist_bins=args.hist
+        )
     if args.format == "json":
         _emit_json([est.__dict__ for est in estimates], args.out)
     else:
         with _output(args.out) as stream:
             montecarlo.estimates_to_csv(estimates, stream)
     if args.hist is not None:
-        hist_out = args.hist_out
-        if hist_out is None and args.out is not None:
-            hist_out = args.out + ".hist.csv"
-        if hist_out is None:
-            raise UsageError("--hist needs --hist-out (or --out to derive a path from)")
+        # histogram errors surface only after the main output is written
+        if hist_error is not None:
+            raise UsageError(hist_error)
         try:
-            hist = montecarlo.violation_histogram(cfg, bins=args.hist, n_workers=args.workers)
+            hist = montecarlo.violation_histogram(cfg, bins=args.hist, bin_counts=bin_counts)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         with _output(hist_out) as stream:
             montecarlo.histogram_to_csv(hist, stream)
     return 0
+
+
+def _histogram_request(args, cfg):
+    """``(hist_out, error)`` for ``mc --hist``: the output path, or why no histogram can be made."""
+    if args.hist is None:
+        return None, None
+    hist_out = args.hist_out
+    if hist_out is None and args.out is not None:
+        hist_out = args.out + ".hist.csv"
+    if hist_out is None:
+        return None, "--hist needs --hist-out (or --out to derive a path from)"
+    try:
+        montecarlo.histogram_edges(cfg, args.hist)
+    except ValueError as exc:
+        return hist_out, str(exc)
+    return hist_out, None
 
 
 def _threshold_criterion(args) -> criteria.Criterion:

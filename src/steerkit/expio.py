@@ -348,9 +348,9 @@ def evaluate_with_errors(
                 for rec, cells in zip(records, rep)
             ]
             rep_tables = [counts_to_table(r) for r in rep_records]
+            # unclipped: clamping pins replicates fitted above 1 to exactly 1
+            # and collapses the spread of the determinant value
             rep_mu = fit_visibility(rep_records) if needs_fit else None
-            if rep_mu is not None:
-                rep_mu = min(max(rep_mu, 0.0), 1.0)
             for k, criterion in enumerate(criteria):
                 samples[k].append(
                     _evaluate_criterion(criterion, rep_tables, rep_records, rep_mu).value

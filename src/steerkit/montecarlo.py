@@ -59,6 +59,11 @@ def measurement_class(scheme: str) -> str:
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
+def _check_bound_factor(factor: float) -> None:
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"bound factor must be positive and finite, got {factor}")
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Configuration of one violation-probability run."""
@@ -85,8 +90,7 @@ class MCConfig:
         object.__setattr__(self, "mu_grid", mu_grid)
         if self.n_samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
-        if not (math.isfinite(self.bound_factor) and self.bound_factor > 0.0):
-            raise ValueError(f"bound factor must be positive and finite, got {self.bound_factor}")
+        _check_bound_factor(self.bound_factor)
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -129,24 +133,26 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotations_from_quaternions(quat: np.ndarray) -> np.ndarray:
-    """Rotation matrices (n, 3, 3) from unnormalised quaternions (n, 4).
+def _rotations_from_quaternions(quat: np.ndarray, columns: int = 3) -> np.ndarray:
+    """First ``columns`` columns (n, 3, columns) of rotations from quaternions (n, 4).
 
     Normalised 4D Gaussians are uniform on the 3-sphere, so the resulting
     rotations are isotropic (Haar) on SO(3).
     """
-    q = quat / np.linalg.norm(quat, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rot = np.empty((q.shape[0], 3, 3))
+    w, x, y, z = quat[:, 0], quat[:, 1], quat[:, 2], quat[:, 3]
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    rot = np.empty((quat.shape[0], 3, columns))
     rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rot[:, 0, 1] = 2.0 * (x * y - w * z)
-    rot[:, 0, 2] = 2.0 * (x * z + w * y)
     rot[:, 1, 0] = 2.0 * (x * y + w * z)
-    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rot[:, 1, 2] = 2.0 * (y * z - w * x)
     rot[:, 2, 0] = 2.0 * (x * z - w * y)
+    rot[:, 0, 1] = 2.0 * (x * y - w * z)
+    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
     rot[:, 2, 1] = 2.0 * (y * z + w * x)
-    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    if columns == 3:
+        rot[:, 0, 2] = 2.0 * (x * z + w * y)
+        rot[:, 1, 2] = 2.0 * (y * z - w * x)
+        rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return rot
 
 
@@ -160,16 +166,21 @@ def _dihedral_pairs(uniforms: np.ndarray) -> np.ndarray:
     gamma = uniforms[:, 0] * (np.pi / 2.0)
     psi = uniforms[:, 1] * (2.0 * np.pi)
     chi = uniforms[:, 2] * (2.0 * np.pi)
+    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+    cos_p, sin_p = np.cos(psi), np.sin(psi)
+    cos_c, sin_c = np.cos(chi), np.sin(chi)
     # Orthonormal basis of Alice's plane for normal n = cos(g) y + sin(g) d,
     # d = cos(psi) z + sin(psi) x: e1 = -sin(psi) z + cos(psi) x, e2 = n x e1.
-    e1 = np.stack([np.cos(psi), np.zeros_like(psi), -np.sin(psi)], axis=1)
-    e2 = np.stack(
-        [-np.cos(gamma) * np.sin(psi), np.sin(gamma), -np.cos(gamma) * np.cos(psi)], axis=1
-    )
-    cos_c, sin_c = np.cos(chi)[:, None], np.sin(chi)[:, None]
+    e1_z = -sin_p
+    e2_x = -cos_g * sin_p
+    e2_z = -cos_g * cos_p
     pairs = np.empty((uniforms.shape[0], 2, 3))
-    pairs[:, 0] = cos_c * e1 + sin_c * e2
-    pairs[:, 1] = -sin_c * e1 + cos_c * e2
+    pairs[:, 0, 0] = cos_c * cos_p + sin_c * e2_x  # cos(chi) e1 + sin(chi) e2
+    pairs[:, 0, 1] = sin_c * sin_g
+    pairs[:, 0, 2] = cos_c * e1_z + sin_c * e2_z
+    pairs[:, 1, 0] = -sin_c * cos_p + cos_c * e2_x  # -sin(chi) e1 + cos(chi) e2
+    pairs[:, 1, 1] = cos_c * sin_g
+    pairs[:, 1, 2] = -sin_c * e1_z + cos_c * e2_z
     return pairs
 
 
@@ -188,14 +199,15 @@ def _draw_directions(scheme: str, m: int, rng: np.random.Generator, n: int):
         return _dihedral_pairs(rng.random((n, 3))), _BOB_DIHEDRAL_PAIR
     if scheme == "haar":
         # measurement directions are the first m columns of each rotation
-        rot_a = _rotations_from_quaternions(rng.standard_normal((n, 4)))
-        rot_b = _rotations_from_quaternions(rng.standard_normal((n, 4)))
-        return rot_a[:, :, :m].swapaxes(1, 2), rot_b[:, :, :m].swapaxes(1, 2)
+        rot_a = _rotations_from_quaternions(rng.standard_normal((n, 4)), m)
+        rot_b = _rotations_from_quaternions(rng.standard_normal((n, 4)), m)
+        return rot_a.swapaxes(1, 2), rot_b.swapaxes(1, 2)
     if scheme == "isotropic":
         vecs_a = rng.standard_normal((n, m, 3))
         vecs_b = rng.standard_normal((n, m, 3))
-        vecs_a /= np.linalg.norm(vecs_a, axis=2, keepdims=True)
-        vecs_b /= np.linalg.norm(vecs_b, axis=2, keepdims=True)
+        for vecs in (vecs_a, vecs_b):
+            x, y, z = vecs[..., 0], vecs[..., 1], vecs[..., 2]
+            vecs /= np.sqrt(x * x + y * y + z * z)[..., None]
         return vecs_a, vecs_b
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
@@ -247,79 +259,100 @@ def _map_chunks(task, plan, n_workers: int):
         return [f.result() for f in futures]
 
 
-def _estimate_cells(m: int, scheme: str, cells, n_samples: int, seed: int, n_workers: int):
+def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     """One :class:`MCEstimate` per (mu, bound factor) cell, all from one sample set.
 
     A sample violates a cell when its geometry exceeds factor * T_m / mu^m
-    (never at mu = 0); per-chunk counts are merged in chunk order.
+    (never where mu^m is 0, also when it underflows).  Each chunk sorts its
+    geometry once and counts every threshold by binary search.  With
+    ``hist_edges`` (single-mu grid) the same pass also bins the violation
+    amount mu^m * geometry - factor * T_m of the violating samples.  Per-chunk
+    counts are merged in chunk order.
+
+    Returns ``(estimates, bin_counts)``; ``bin_counts`` is None without edges.
     """
+    m, n_samples = cfg.m, cfg.n_samples
+    cells = [(mu, factor) for mu in cfg.mu_grid for factor in factors]
     thresholds = np.array(
         [
-            factor * DB_VECTOR_THRESHOLD[m] / mu ** m if mu > 0.0 else math.inf
+            factor * DB_VECTOR_THRESHOLD[m] / mu ** m if mu ** m > 0.0 else math.inf
             for mu, factor in cells
         ]
     )
 
     def task(chunk_index, size):
-        geom = _chunk_geometry(scheme, m, seed, chunk_index, size)
-        return (geom[None, :] > thresholds[:, None]).sum(axis=1)
+        geom = _chunk_geometry(cfg.scheme, m, cfg.seed, chunk_index, size)
+        counts = size - np.searchsorted(np.sort(geom), thresholds, side="right")
+        if hist_edges is None:
+            return counts, None
+        amounts = cfg.mu_grid[0] ** m * geom - cfg.bound_factor * DB_VECTOR_THRESHOLD[m]
+        return counts, np.histogram(amounts[amounts > 0.0], bins=hist_edges)[0]
 
-    counts = sum(_map_chunks(task, _chunk_plan(n_samples), n_workers))
+    results = _map_chunks(task, _chunk_plan(n_samples), n_workers)
+    counts = sum(chunk_counts for chunk_counts, _ in results)
+    bin_counts = None if hist_edges is None else sum(chunk_bins for _, chunk_bins in results)
     estimates = []
     for (mu, factor), count in zip(cells, counts):
         p = count / n_samples
         stderr = math.sqrt(p * (1.0 - p) / n_samples)
-        estimates.append(MCEstimate(m, scheme, mu, factor, n_samples, p, stderr))
-    return estimates
+        estimates.append(MCEstimate(m, cfg.scheme, mu, factor, n_samples, p, stderr))
+    return estimates, bin_counts
 
 
-def violation_probability(cfg: MCConfig, n_workers: int = 1):
+def violation_probability(cfg: MCConfig, n_workers: int = 1, hist_bins: int | None = None):
     """Estimate the violation probability for each mu in the grid.
 
     Returns one :class:`MCEstimate` per grid point.  A configuration's
-    violation counts are bit-identical across worker counts.
+    violation counts are bit-identical across worker counts.  With
+    ``hist_bins`` the same pass also bins the violation amount, and the
+    result is ``(estimates, bin_counts)``; :func:`violation_histogram` turns
+    ``bin_counts`` into a density without drawing again.
     """
-    cells = [(mu, cfg.bound_factor) for mu in cfg.mu_grid]
-    return _estimate_cells(cfg.m, cfg.scheme, cells, cfg.n_samples, cfg.seed, n_workers)
+    if hist_bins is None:
+        return _estimate_cells(cfg, (cfg.bound_factor,), n_workers)[0]
+    return _estimate_cells(cfg, (cfg.bound_factor,), n_workers, histogram_edges(cfg, hist_bins))
 
 
-def violation_histogram(cfg: MCConfig, bins: int = 50, n_workers: int = 1) -> ViolationHistogram:
-    """Histogram of the violation amount (LHS minus bound) as a density.
+def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
+    """Bin edges of the violation-amount histogram; ValueError if it cannot be made.
 
     Requires a single-mu configuration.  Bins are uniform over the attainable
-    violation range (0, mu^m - factor * T_m]; the density integrates to 1
-    over the violating samples.
+    violation range (0, mu^m - factor * T_m].
     """
     if len(cfg.mu_grid) != 1:
         raise ValueError("violation_histogram needs a single-mu configuration")
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     mu = cfg.mu_grid[0]
-    bound = cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
-    max_violation = mu ** cfg.m - bound
+    max_violation = mu ** cfg.m - cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
     if max_violation <= 0.0:
         raise ValueError(
             f"no attainable violation at mu = {mu} with bound factor {cfg.bound_factor}"
         )
-    edges = np.linspace(0.0, max_violation, bins + 1)
-    plan = _chunk_plan(cfg.n_samples)
+    return np.linspace(0.0, max_violation, bins + 1)
 
-    def task(chunk_index, size):
-        geom = _chunk_geometry(cfg.scheme, cfg.m, cfg.seed, chunk_index, size)
-        amounts = mu ** cfg.m * geom - bound
-        counts, _ = np.histogram(amounts[amounts > 0.0], bins=edges)
-        return counts
 
-    counts = sum(_map_chunks(task, plan, n_workers))
-    n_violations = int(counts.sum())
+def violation_histogram(
+    cfg: MCConfig, bins: int = 50, n_workers: int = 1, bin_counts=None
+) -> ViolationHistogram:
+    """Histogram of the violation amount (LHS minus bound) as a density.
+
+    Bins are those of :func:`histogram_edges`; the density integrates to 1
+    over the violating samples.  ``bin_counts`` from
+    ``violation_probability(cfg, hist_bins=bins)`` skips the sampling pass.
+    """
+    edges = histogram_edges(cfg, bins)
+    if bin_counts is None:
+        bin_counts = _estimate_cells(cfg, (cfg.bound_factor,), n_workers, edges)[1]
+    n_violations = int(bin_counts.sum())
     if n_violations == 0:
         raise ValueError("no violating samples; cannot normalise a density")
     width = edges[1] - edges[0]
-    density = counts / (n_violations * width)
+    density = bin_counts / (n_violations * width)
     return ViolationHistogram(
         cfg.m,
         cfg.scheme,
-        mu,
+        cfg.mu_grid[0],
         cfg.bound_factor,
         cfg.n_samples,
         n_violations,
@@ -343,13 +376,14 @@ def raised_bound_table(
 
     Four rows (2/3 settings x orthogonal/completely-random sampling) times
     one estimate per bound factor, all at the same ``mu``.  Each row reuses
-    one set of geometry samples across the factors.
+    one set of geometry samples across the factors.  The inputs pass the
+    :class:`MCConfig` checks before anything is drawn.
     """
-    cells = [(mu, float(factor)) for factor in factors]
-    return [
-        _estimate_cells(m, scheme, cells, n_samples, seed, n_workers)
-        for m, scheme in RAISED_BOUND_ROWS
-    ]
+    factors = [float(factor) for factor in factors]
+    for factor in factors:
+        _check_bound_factor(factor)
+    configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]
+    return [_estimate_cells(cfg, factors, n_workers)[0] for cfg in configs]
 
 
 MC_CSV_HEADER = ["m", "scheme", "mu", "bound_factor", "n_samples", "p_violation", "stderr"]

@@ -242,3 +242,21 @@ class TestEvaluateWithErrors:
         first = evaluate_with_errors(records, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
         second = evaluate_with_errors(records, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
         assert first == second
+
+    def test_db_bootstrap_keeps_replicate_fits_above_one(self):
+        # mu = 0.95991549, alpha = 41.7025 deg, phi = 54.7386 deg, m = 2, with
+        # Poisson counts whose visibility fit lands at 1.031.  Clamping each
+        # replicate's fit to [0, 1] pinned most replicates at exactly 1 and
+        # shrank the db error budget far below the true scatter.
+        alice_1 = (0.38406116370763022, 0.54320532599284299, 0.74660899830135319)
+        alice_2 = (0.43102272923032103, 0.60962644564634449, -0.66526310859347215)
+        records = [
+            CountsRecord(1, [[78, 552], [541, 59]], alice_1, (0.0, 0.0, 1.0)),
+            CountsRecord(2, [[169, 449], [442, 185]], alice_2, (1.0, 0.0, 0.0)),
+        ]
+        assert fit_visibility(records) > 1.0
+        [(result, budget)] = evaluate_with_errors(
+            records, [DB], bootstrap=1000, jitter_deg=0.1, seed=2009872275
+        )
+        scen = Scenario(mu=0.95991549, alpha_deg=41.7025, phi_deg=54.7386, m=2)
+        assert abs(result.value - closed_form(scen, DB)) <= 5.0 * budget.total + 1e-3

@@ -1,11 +1,15 @@
+import io
 import math
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import crm_probability, dihedral_probability, ks_statistic
-from steerkit import montecarlo
+from steerkit import cli, montecarlo
+from steerkit.criteria import DB_VECTOR_THRESHOLD
 from steerkit.montecarlo import (
     CHUNK_SIZE,
     MCConfig,
@@ -127,6 +131,123 @@ class TestSamplers:
         assert np.allclose(geom, expected, rtol=0.0, atol=1e-12)
 
 
+SCHEME_PAIRS = [("dihedral", 2), ("haar", 2), ("haar", 3), ("isotropic", 2), ("isotropic", 3)]
+
+
+def reference_rotations(quat):
+    """Full rotation matrices (n, 3, 3), normalised with np.linalg.norm."""
+    q = quat / np.linalg.norm(quat, axis=1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    rot = np.empty((q.shape[0], 3, 3))
+    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    rot[:, 0, 1] = 2.0 * (x * y - w * z)
+    rot[:, 0, 2] = 2.0 * (x * z + w * y)
+    rot[:, 1, 0] = 2.0 * (x * y + w * z)
+    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    rot[:, 1, 2] = 2.0 * (y * z - w * x)
+    rot[:, 2, 0] = 2.0 * (x * z - w * y)
+    rot[:, 2, 1] = 2.0 * (y * z + w * x)
+    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return rot
+
+
+def reference_dihedral_pairs(uniforms):
+    """Alice's dihedral pairs from the stacked in-plane basis (e1, e2)."""
+    gamma = uniforms[:, 0] * (np.pi / 2.0)
+    psi = uniforms[:, 1] * (2.0 * np.pi)
+    chi = uniforms[:, 2] * (2.0 * np.pi)
+    e1 = np.stack([np.cos(psi), np.zeros_like(psi), -np.sin(psi)], axis=1)
+    e2 = np.stack(
+        [-np.cos(gamma) * np.sin(psi), np.sin(gamma), -np.cos(gamma) * np.cos(psi)], axis=1
+    )
+    cos_c, sin_c = np.cos(chi)[:, None], np.sin(chi)[:, None]
+    pairs = np.empty((uniforms.shape[0], 2, 3))
+    pairs[:, 0] = cos_c * e1 + sin_c * e2
+    pairs[:, 1] = -sin_c * e1 + cos_c * e2
+    return pairs
+
+
+def reference_directions(scheme, m, rng, n):
+    """The samplers' draws, written out the straightforward way."""
+    if scheme == "dihedral":
+        return reference_dihedral_pairs(rng.random((n, 3))), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    if scheme == "haar":
+        rot_a = reference_rotations(rng.standard_normal((n, 4)))
+        rot_b = reference_rotations(rng.standard_normal((n, 4)))
+        return rot_a[:, :, :m].swapaxes(1, 2), rot_b[:, :, :m].swapaxes(1, 2)
+    vecs_a = rng.standard_normal((n, m, 3))
+    vecs_b = rng.standard_normal((n, m, 3))
+    vecs_a /= np.linalg.norm(vecs_a, axis=2, keepdims=True)
+    vecs_b /= np.linalg.norm(vecs_b, axis=2, keepdims=True)
+    return vecs_a, vecs_b
+
+
+def reference_geometry(alice, bob):
+    """|(a1 x a2) . (b1 x b2)| for pairs, |det A| |det B| for triads."""
+    if alice.shape[-2] == 2:
+        normal_a = np.cross(alice[..., 0, :], alice[..., 1, :])
+        normal_b = np.cross(bob[..., 0, :], bob[..., 1, :])
+        return np.abs(np.einsum("...i,...i->...", normal_a, normal_b))
+
+    def det(vecs):
+        return np.einsum("...i,...i->...", vecs[..., 0, :], np.cross(vecs[..., 1, :], vecs[..., 2, :]))
+
+    return np.abs(det(alice)) * np.abs(det(bob))
+
+
+class TestSamplerReference:
+    """The samplers draw exactly what the reference formulas draw, bit for bit."""
+
+    @pytest.mark.parametrize("scheme, m", SCHEME_PAIRS)
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (7, 3), (2024, 11)])
+    def test_bit_identical_to_reference(self, scheme, m, seed, chunk):
+        n = 10_000
+        alice, bob = _draw_directions(scheme, m, chunk_rng(seed, chunk), n)
+        ref_alice, ref_bob = reference_directions(scheme, m, chunk_rng(seed, chunk), n)
+        assert np.array_equal(alice, ref_alice)
+        assert np.array_equal(bob, ref_bob)
+        geom = _chunk_geometry(scheme, m, seed, chunk, n)
+        assert np.array_equal(geom, reference_geometry(ref_alice, ref_bob))
+
+
+class TestThresholdCounting:
+    """Per-chunk counts against a brute-force comparison of every sample with every threshold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3]),
+        mus=st.lists(
+            st.sampled_from([0.0, 0.5, 0.75, 0.9, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6
+        ),
+        factor=st.floats(0.1, 3.0),
+        noise=st.lists(st.floats(0.0, 2.0), max_size=20),
+        n_samples=st.sampled_from([1, 2, 17, 300, CHUNK_SIZE + 3]),
+    )
+    def test_counts_match_brute_force(self, m, mus, factor, noise, n_samples):
+        thresholds = np.array(
+            [factor * DB_VECTOR_THRESHOLD[m] / mu ** m if mu ** m > 0.0 else math.inf for mu in mus]
+        )
+        finite = thresholds[np.isfinite(thresholds)]
+        # samples on, just below and just above every threshold, plus noise
+        pool = np.concatenate(
+            [finite, np.nextafter(finite, 0.0), np.nextafter(finite, np.inf), noise, [0.0, 1.0]]
+        )
+
+        def geometry(scheme, m, seed, chunk_index, size):
+            return np.resize(np.roll(pool, chunk_index), size)
+
+        cfg = MCConfig(m=m, scheme="isotropic", mu_grid=tuple(mus), n_samples=n_samples,
+                       bound_factor=factor)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_chunk_geometry", geometry)
+            estimates = violation_probability(cfg)
+        expected = sum(
+            (geometry(None, m, None, c, size)[None, :] > thresholds[:, None]).sum(axis=1)
+            for c, size in montecarlo._chunk_plan(n_samples)
+        )
+        assert [est.p_violation for est in estimates] == list(expected / n_samples)
+
+
 class TestWorkers:
     def test_rejects_worker_count_below_one(self):
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10)
@@ -218,6 +339,11 @@ class TestViolationProbability:
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(0.0,), n_samples=1000, seed=11)
         assert violation_probability(cfg)[0].p_violation == 0.0
 
+    def test_underflowing_visibility_never_violates(self):
+        # mu^m underflows to 0: the threshold is infinite, not a division by zero
+        cfg = MCConfig(m=3, scheme="isotropic", mu_grid=(1e-200, 1.0), n_samples=1000, seed=11)
+        assert violation_probability(cfg)[0].p_violation == 0.0
+
     def test_stderr_formula(self):
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=50_000, seed=12)
         est = violation_probability(cfg)[0]
@@ -301,6 +427,25 @@ class TestRaisedBoundTable:
                 assert within_stderr(est, crm_probability(m, factor))
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"factors": (math.nan,)},
+            {"factors": (1.0, math.inf)},
+            {"factors": (0.0,)},
+            {"factors": (-1.1,)},
+            {"mu": 1.5},
+            {"mu": -0.1},
+            {"mu": math.nan},
+            {"n_samples": 0},
+            {"n_samples": -5},
+        ],
+    )
+    def test_rejects_invalid_inputs(self, kwargs):
+        # a NaN factor reported p = 0 on every row; zero samples raised TypeError
+        with pytest.raises(ValueError):
+            raised_bound_table(**{"n_samples": 1000, **kwargs})
+
 class TestCsvWriters:
     def test_estimates_csv(self, tmp_path):
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(0.9, 1.0), n_samples=1000, seed=31)
@@ -321,3 +466,53 @@ class TestCsvWriters:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "bin_left,bin_right,density"
         assert len(lines) == 11
+
+
+class TestHistogramPass:
+    """``mc --hist`` draws every chunk once and fills the counts and the bins from it."""
+
+    def test_one_geometry_call_per_chunk(self, tmp_path, monkeypatch):
+        n_samples = 2 * CHUNK_SIZE + 5
+        calls = []
+        geometry = montecarlo._chunk_geometry
+
+        def counting_geometry(*args):
+            calls.append(args[3])
+            return geometry(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_geometry", counting_geometry)
+        out = tmp_path / "mc.csv"
+        code = cli.main([
+            "mc", "--m", "2", "--class", "crm", "--mu-grid", "1", "--samples", str(n_samples),
+            "--seed", "3", "--workers", "2", "--hist", "12", "--out", str(out),
+        ])
+        assert code == 0
+        assert sorted(calls) == [0, 1, 2]
+
+        cfg = MCConfig(m=2, scheme="isotropic", mu_grid=(1.0,), n_samples=n_samples, seed=3)
+        expected, expected_hist = io.StringIO(), io.StringIO()
+        estimates_to_csv(violation_probability(cfg), expected)
+        histogram_to_csv(violation_histogram(cfg, bins=12), expected_hist)
+        assert out.read_text() == expected.getvalue()
+        assert (tmp_path / "mc.csv.hist.csv").read_text() == expected_hist.getvalue()
+
+    @pytest.mark.parametrize(
+        "grid, with_out, message",
+        [
+            ("0.9:1:0.05", True, "violation_histogram needs a single-mu configuration"),
+            ("1", False, "--hist needs --hist-out (or --out to derive a path from)"),
+            ("0.5", True, "no attainable violation at mu = 0.5 with bound factor 1.0"),
+        ],
+    )
+    def test_errors_follow_the_main_output(self, tmp_path, capsys, grid, with_out, message):
+        base = ["mc", "--m", "2", "--class", "rom", "--mu-grid", grid, "--samples", "3000"]
+        out = tmp_path / "mc.csv"
+        out_flags = ["--out", str(out)] if with_out else []
+        assert cli.main(base + out_flags) == 0
+        plain = out.read_text() if with_out else capsys.readouterr().out
+
+        assert cli.main(base + out_flags + ["--hist", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"steerkit: {message}\n"
+        assert (out.read_text() if with_out else captured.out) == plain
+        assert not (tmp_path / "mc.csv.hist.csv").exists()
