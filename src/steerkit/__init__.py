@@ -50,7 +50,6 @@ from .montecarlo import (
 from .qcore import (
     JointTable,
     bloch_projector,
-    correlation_matrix,
     joint_table_closed,
     joint_table_trace,
     mub_settings,
@@ -74,7 +73,6 @@ __all__ = [
     "joint_table_closed",
     "mub_settings",
     "nom_settings",
-    "correlation_matrix",
     "q_log",
     "shannon_entropy",
     "tsallis_entropy",

@@ -25,24 +25,30 @@ class UsageError(ValueError):
     """Flag-level problem; maps to exit code 2."""
 
 
+#: Most points a START:STOP:STEP grid may hold; checked before the list is built.
+MAX_GRID_POINTS = 100_001
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Parse START:STOP:STEP (stop inclusive) or a single value."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid must be START:STOP:STEP or a single value, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise UsageError(f"non-numeric grid specification {text!r}") from None
-        if step <= 0.0 or stop < start:
-            raise UsageError(f"grid needs stop >= start and step > 0, got {text!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
+    """Parse START:STOP:STEP (stop inclusive) or a single value; all finite."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise UsageError(f"grid must be START:STOP:STEP or a single value, got {text!r}")
     try:
-        return [float(text)]
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"non-numeric grid specification {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
+    if step <= 0.0 or stop < start:
+        raise UsageError(f"grid needs stop >= start and step > 0, got {text!r}")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also an overflow to inf
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _split_criteria(text: str) -> list[str]:

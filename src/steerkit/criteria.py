@@ -137,6 +137,11 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mixing probability must lie in [0, 1], got {self.mu}")
+        if not (math.isfinite(self.alpha_deg) and math.isfinite(self.phi_deg)):
+            raise ValueError(
+                f"misalignment angles must be finite, got alpha = {self.alpha_deg}, "
+                f"phi = {self.phi_deg}"
+            )
         if self.m not in (2, 3):
             raise ValueError(f"settings count must be 2 or 3, got {self.m}")
         if self.mode not in ("mub", "nom", "explicit"):

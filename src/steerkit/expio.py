@@ -153,6 +153,11 @@ def load_counts(path) -> list[CountsRecord]:
                     raise CountsFormatError(
                         f"line {line_no}: vector components must be numbers"
                     ) from None
+                for column, value in zip(_VECTOR_COLUMNS, values):
+                    if not math.isfinite(value):
+                        raise CountsFormatError(
+                            f"line {line_no}: vector component {column} must be finite, got {value}"
+                        )
                 pair = (np.array(values[:3]), np.array(values[3:]))
                 if setting in vectors:
                     prev = vectors[setting]
@@ -315,6 +320,10 @@ def evaluate_with_errors(
     number of jittered-vector replicates feeds the systematic error (skipped
     when ``jitter_deg`` is 0).  Deterministic for a given seed.
     """
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap replicate count must be >= 0, got {bootstrap}")
+    if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
+        raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
     records = sorted(records, key=lambda rec: rec.setting)
     criteria = list(criteria)
     needs_fit = any(c.kind == "db" for c in criteria) or jitter_deg > 0.0

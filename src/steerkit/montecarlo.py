@@ -17,8 +17,30 @@ Sampling schemes
     Completely random (generally non-orthogonal) measurements: every
     direction is an independent isotropic unit vector.
 
-A scheme only draws the parties' direction arrays; one reduction turns them
-into the criterion's geometric factor.
+What a chunk draws
+------------------
+
+The criterion reads a sample's directions only through one geometric factor,
+the vector-form LHS at mu = 1: |(a1 x a2) . (b1 x b2)| for pairs, |det A|
+|det B| for triads.  Each scheme draws that factor from its law (the
+reductions in ``tests/oracles.py``); the measures above are unchanged.  Below,
+s = |a1 x a2| = sqrt(1 - c^2) for the cosine c ~ U[-1, 1], and u ~ U[0, 1] is
+the |cos| between a plane normal and the other normal (pairs) or the third
+direction (triads).
+
+=============  ========  ==============================
+scheme, m      uniforms  geometric factor
+=============  ========  ==============================
+dihedral, 2    1         cos gamma, gamma ~ U[0, pi/2]
+haar, 2        1         u
+haar, 3        0         exactly 1 (orthonormal triads)
+isotropic, 2   3         s_A s_B u
+isotropic, 3   4         s_A u_A s_B u_B
+=============  ========  ==============================
+
+:data:`STREAM_VERSION` numbers what a seed draws.  Version 1 drew full
+direction vectors and reduced them; version 2 draws the scalars above, so a
+given seed gives different numbers than under version 1.
 
 Determinism
 -----------
@@ -48,6 +70,10 @@ SCHEMES = ROM_SCHEMES + CRM_SCHEMES
 #: Samples per RNG chunk.  Fixed: changing it changes which Philox stream a
 #: given sample draws from, and hence the (deterministic) estimates.
 CHUNK_SIZE = 1 << 16
+
+#: Numbers what a seed draws; bumped, with new pins in ``tests/test_pins.py``,
+#: by every change to the numbers a given seed gives.
+STREAM_VERSION = 2
 
 
 def measurement_class(scheme: str) -> str:
@@ -123,7 +149,7 @@ class ViolationHistogram:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# chunk engine
 # ---------------------------------------------------------------------------
 
 
@@ -133,110 +159,30 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotations_from_quaternions(quat: np.ndarray, columns: int = 3) -> np.ndarray:
-    """First ``columns`` columns (n, 3, columns) of rotations from quaternions (n, 4).
-
-    Normalised 4D Gaussians are uniform on the 3-sphere, so the resulting
-    rotations are isotropic (Haar) on SO(3).
-    """
-    w, x, y, z = quat[:, 0], quat[:, 1], quat[:, 2], quat[:, 3]
-    norm = np.sqrt(w * w + x * x + y * y + z * z)
-    w, x, y, z = w / norm, x / norm, y / norm, z / norm
-    rot = np.empty((quat.shape[0], 3, columns))
-    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rot[:, 1, 0] = 2.0 * (x * y + w * z)
-    rot[:, 2, 0] = 2.0 * (x * z - w * y)
-    rot[:, 0, 1] = 2.0 * (x * y - w * z)
-    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rot[:, 2, 1] = 2.0 * (y * z + w * x)
-    if columns == 3:
-        rot[:, 0, 2] = 2.0 * (x * z + w * y)
-        rot[:, 1, 2] = 2.0 * (y * z - w * x)
-        rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return rot
-
-
-def _dihedral_pairs(uniforms: np.ndarray) -> np.ndarray:
-    """Alice pairs (n, 2, 3) from uniforms (n, 3) in the dihedral scheme.
-
-    Columns of ``uniforms`` map to gamma/(pi/2), psi/(2 pi), chi/(2 pi):
-    the dihedral angle from Bob's plane normal (y), the azimuth of Alice's
-    plane normal around y, and Alice's in-plane orientation.
-    """
-    gamma = uniforms[:, 0] * (np.pi / 2.0)
-    psi = uniforms[:, 1] * (2.0 * np.pi)
-    chi = uniforms[:, 2] * (2.0 * np.pi)
-    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
-    cos_p, sin_p = np.cos(psi), np.sin(psi)
-    cos_c, sin_c = np.cos(chi), np.sin(chi)
-    # Orthonormal basis of Alice's plane for normal n = cos(g) y + sin(g) d,
-    # d = cos(psi) z + sin(psi) x: e1 = -sin(psi) z + cos(psi) x, e2 = n x e1.
-    e1_z = -sin_p
-    e2_x = -cos_g * sin_p
-    e2_z = -cos_g * cos_p
-    pairs = np.empty((uniforms.shape[0], 2, 3))
-    pairs[:, 0, 0] = cos_c * cos_p + sin_c * e2_x  # cos(chi) e1 + sin(chi) e2
-    pairs[:, 0, 1] = sin_c * sin_g
-    pairs[:, 0, 2] = cos_c * e1_z + sin_c * e2_z
-    pairs[:, 1, 0] = -sin_c * cos_p + cos_c * e2_x  # -sin(chi) e1 + cos(chi) e2
-    pairs[:, 1, 1] = cos_c * sin_g
-    pairs[:, 1, 2] = -sin_c * e1_z + cos_c * e2_z
-    return pairs
-
-
-#: Bob's fixed (z, x) measurement pair in the dihedral scheme.
-_BOB_DIHEDRAL_PAIR = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-
-
-def _draw_directions(scheme: str, m: int, rng: np.random.Generator, n: int):
-    """Alice's and Bob's measurement directions, arrays of shape (n, m, 3).
-
-    Draw layout per chunk is fixed (one array per party in scheme order), so
-    a sample's directions depend only on (seed, chunk index, position in
-    chunk).  Bob's dihedral pair is fixed and broadcasts as (m, 3).
-    """
-    if scheme == "dihedral":
-        return _dihedral_pairs(rng.random((n, 3))), _BOB_DIHEDRAL_PAIR
-    if scheme == "haar":
-        # measurement directions are the first m columns of each rotation
-        rot_a = _rotations_from_quaternions(rng.standard_normal((n, 4)), m)
-        rot_b = _rotations_from_quaternions(rng.standard_normal((n, 4)), m)
-        return rot_a.swapaxes(1, 2), rot_b.swapaxes(1, 2)
-    if scheme == "isotropic":
-        vecs_a = rng.standard_normal((n, m, 3))
-        vecs_b = rng.standard_normal((n, m, 3))
-        for vecs in (vecs_a, vecs_b):
-            x, y, z = vecs[..., 0], vecs[..., 1], vecs[..., 2]
-            vecs /= np.sqrt(x * x + y * y + z * z)[..., None]
-        return vecs_a, vecs_b
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
-# vectorised chunk engine
-# ---------------------------------------------------------------------------
-
-
-def _triple_product(vecs: np.ndarray) -> np.ndarray:
-    """det of (..., 3, 3) direction triads as v1 . (v2 x v3)."""
-    return np.einsum("...i,...i->...", vecs[..., 0, :], np.cross(vecs[..., 1, :], vecs[..., 2, :]))
-
-
-def _geometry(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Vector-form LHS at mu = 1 from (..., m, 3) direction arrays.
-
-    |(a1 x a2) . (b1 x b2)| for pairs, |det A| |det B| for triads.
-    """
-    if alice.shape[-2] == 2:
-        normal_a = np.cross(alice[..., 0, :], alice[..., 1, :])
-        normal_b = np.cross(bob[..., 0, :], bob[..., 1, :])
-        return np.abs(np.einsum("...i,...i->...", normal_a, normal_b))
-    return np.abs(_triple_product(alice)) * np.abs(_triple_product(bob))
-
-
 def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) -> np.ndarray:
-    """Geometric factor per sample of one chunk: the vector-form LHS at mu = 1."""
-    return _geometry(*_draw_directions(scheme, m, chunk_rng(seed, chunk_index), n))
+    """Geometric factor per sample of one chunk: the vector-form LHS at mu = 1.
+
+    The chunk draws one ``(k, n)`` array of uniforms, row ``j`` holding the
+    ``j``-th scalar of every sample, with ``k`` as in the module docstring.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown sampling scheme {scheme!r}")
+    if scheme == "haar" and m == 3:
+        return np.ones(n)  # orthonormal triads: |det A| = |det B| = 1
+    rng = chunk_rng(seed, chunk_index)
+    if scheme == "dihedral":
+        return np.cos(rng.random(n) * (np.pi / 2.0))
+    if scheme == "haar":
+        return rng.random(n)
+    # isotropic: s = sqrt(1 - c^2) = 2 sqrt(v (1 - v)) for c = 2v - 1 ~ U[-1, 1]
+    uniforms = rng.random((m + 1, n))
+    v_a, v_b = uniforms[0], uniforms[1]
+    geom = (v_a - v_a * v_a) * (v_b - v_b * v_b)
+    np.sqrt(geom, out=geom)
+    geom *= 4.0
+    for u in uniforms[2:]:
+        geom *= u
+    return geom
 
 
 def _chunk_plan(n_samples: int):

@@ -40,7 +40,7 @@ def as_unit_vector(v, atol: float = 1e-12) -> np.ndarray:
     if vec.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {vec.shape}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > atol:
+    if not abs(norm - 1.0) <= atol:  # NaN-safe
         raise ValueError(f"measurement direction must be unit norm, got |v| = {norm}")
     return vec
 
@@ -69,22 +69,6 @@ def validate_density_matrix(rho, atol: float = 1e-12, eig_atol: float = 1e-10) -
     return mat
 
 
-def singlet_fidelity(rho) -> float:
-    """Overlap <psi_s| rho |psi_s>; equals (1 + 3 mu)/4 for a Werner state."""
-    mat = np.asarray(rho, dtype=complex)
-    return float(np.real(SINGLET_KET.conj() @ mat @ SINGLET_KET))
-
-
-def mu_from_fidelity(fidelity: float) -> float:
-    """Invert the Werner singlet fidelity: mu = (4 F - 1)/3."""
-    return (4.0 * float(fidelity) - 1.0) / 3.0
-
-
-def fidelity_from_mu(mu: float) -> float:
-    """Werner singlet fidelity F = (1 + 3 mu)/4."""
-    return (1.0 + 3.0 * float(mu)) / 4.0
-
-
 def bloch_projector(u, outcome: int) -> np.ndarray:
     """Projector (1 + outcome * u.sigma)/2 onto the ``outcome`` eigenspace."""
     vec = as_unit_vector(u)
@@ -108,9 +92,10 @@ class JointTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (2, 2):
             raise ValueError(f"joint table must be 2x2, got shape {probs.shape}")
-        if probs.min() < -ATOL or probs.max() > 1.0 + ATOL:
+        # negated comparisons: a NaN entry fails them
+        if not (probs.min() >= -ATOL and probs.max() <= 1.0 + ATOL):
             raise ValueError(f"joint table entries must lie in [0, 1], got {probs}")
-        if abs(probs.sum() - 1.0) > ATOL:
+        if not abs(probs.sum() - 1.0) <= ATOL:
             raise ValueError(f"joint table entries sum to {probs.sum()}, expected 1")
         probs = np.clip(probs, 0.0, 1.0)
         probs.setflags(write=False)
@@ -206,15 +191,3 @@ def nom_settings(m: int):
     if m == 2:
         return (u1, u2), (Z_AXIS.copy(), X_AXIS.copy())
     return (u1, u2, u3), (Z_AXIS.copy(), X_AXIS.copy(), Y_AXIS.copy())
-
-
-def correlation_matrix(mu: float, alice, bob) -> np.ndarray:
-    """Full correlation matrix E[x, y] = -mu (u_x . v_y) for a Werner state."""
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
-    alice = [as_unit_vector(u) for u in alice]
-    bob = [as_unit_vector(v) for v in bob]
-    if len(alice) != len(bob):
-        raise ValueError(f"settings counts differ: {len(alice)} vs {len(bob)}")
-    return np.array([[-mu * float(np.dot(u, v)) for v in bob] for u in alice])

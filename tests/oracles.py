@@ -30,6 +30,22 @@ def dihedral_probability(mu: float, factor: float = 1.0) -> float:
     return math.acos(x) / (math.pi / 2.0)
 
 
+def haar_probability(m: int, factor: float = 1.0, mu: float = 1.0) -> float:
+    """Violation probability for independent Haar frames.
+
+    m = 2: the LHS at mu = 1 is |n_A . n_B| for isotropic plane normals, which
+    is uniform on [0, 1], so P = clip(1 - f/(2 mu^2), 0, 1).  m = 3: the LHS
+    is |det A| |det B| = 1 for orthonormal triads, a step at mu^3 = f sqrt(3)/9.
+    """
+    if mu <= 0.0:
+        return 0.0
+    if m == 2:
+        return min(max(1.0 - factor / (2.0 * mu * mu), 0.0), 1.0)
+    if m == 3:
+        return 1.0 if mu ** 3 > factor * math.sqrt(3.0) / 9.0 else 0.0
+    raise ValueError(f"m must be 2 or 3, got {m}")
+
+
 def _pair_tail(x):
     """P(s u > x) for s = |cross| of two isotropic unit vectors, u ~ U[0, 1].
 
@@ -89,3 +105,12 @@ def ks_statistic(samples, cdf) -> float:
     upper = np.max(np.arange(1, n + 1) / n - theo)
     lower = np.max(theo - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def ks_two_sample(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance between the empirical CDFs of a and b."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, points, side="right") / a.size
+    cdf_b = np.searchsorted(b, points, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from steerkit import qcore
+from steerkit import cli, qcore
 from steerkit.criteria import Criterion, Scenario, closed_form
 from steerkit.expio import synthesize_counts, write_counts
+from steerkit.montecarlo import CHUNK_SIZE
 
 
 def run_cli(*args, env_extra=None):
@@ -63,6 +64,28 @@ class TestSweepCommand:
     def test_bad_grid_is_usage_error(self):
         result = run_cli("sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0:90")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flags", [("--phi", "nan"), ("--phi", "inf"), ("--alpha-grid", "nan")])
+    def test_non_finite_angle_is_usage_error(self, capsys, flags):
+        # a NaN tilt passed the unit-norm and table checks: shannon read 0.693, steerable
+        argv = ["sweep", "--m", "2", "--mu", "0.5", "--alpha-grid", "0", "--criteria", "shannon,db"]
+        assert cli.main(argv + list(flags)) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("grid", ["0:inf:10", "-inf:0:1", "0:10:nan"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        argv = ["sweep", "--m", "2", "--mu", "0.9", f"--alpha-grid={grid}", "--criteria", "db"]
+        assert cli.main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_grid_cap_admits_the_mc_grid_workload(self):
+        assert cli.MAX_GRID_POINTS >= 1001
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("grid", ["0:{cap}:1", "0:1e308:1e-308", "-1e308:1e308:1"])
+    def test_oversized_grid_rejected_before_building(self, grid):
+        with pytest.raises(cli.UsageError, match="more than"):
+            cli._parse_grid(grid.format(cap=cli.MAX_GRID_POINTS))
 
     def test_renyi_with_three_settings_is_usage_error(self):
         result = run_cli("sweep", "--m", "3", "--mu", "0.9", "--criteria", "renyi")
@@ -125,6 +148,25 @@ class TestMcCommand:
         serial = run_cli(*base, "--workers", "1")
         threaded = run_cli(*base, "--workers", "8")
         assert serial.stdout == threaded.stdout
+
+    @pytest.mark.parametrize(
+        "m, mc_class, scheme",
+        [(2, "rom", "dihedral"), (2, "rom", "haar"), (3, "rom", "haar"), (2, "crm", "isotropic"),
+         (3, "crm", "isotropic")],
+    )
+    def test_output_identical_across_workers_and_reruns(self, tmp_path, m, mc_class, scheme):
+        base = [
+            "mc", "--m", str(m), "--class", mc_class, "--scheme", scheme, "--mu-grid", "0.6:1:0.05",
+            "--samples", str(3 * CHUNK_SIZE + 17), "--seed", "4",
+        ]
+        for fmt in ("csv", "json"):
+            outputs = []
+            for run, workers in enumerate(("1", "2", "1", "2")):
+                out = tmp_path / f"{fmt}-{run}"
+                argv = base + ["--workers", workers, "--format", fmt, "--out", str(out)]
+                assert cli.main(argv) == 0
+                outputs.append(out.read_bytes())
+            assert len(set(outputs)) == 1
 
     @pytest.mark.parametrize(
         "flags",
@@ -190,6 +232,12 @@ class TestThresholdCommand:
         payload = json.loads(result.stdout)
         assert payload["critical_alpha_deg"] is None
         assert "note" in payload
+
+    def test_non_finite_tilt_is_usage_error(self, capsys):
+        # a NaN tilt read as "does not change sign"
+        argv = ["threshold", "--criterion", "shannon", "--mu", "0.9", "--phi", "nan"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_renyi_orders_flag(self):
         result = run_cli(
@@ -258,6 +306,26 @@ class TestAnalyzeCommand:
         assert payload[0]["stat_err"] == 0.0
         assert payload[0]["sys_err"] == 0.0
         assert payload[0]["total_err"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flags", [("--bootstrap", "-5"), ("--jitter", "nan"), ("--jitter", "-0.5")]
+    )
+    def test_bad_bootstrap_or_jitter_is_usage_error(self, tmp_path, capsys, flags):
+        # these reported stat_err or sys_err 0 and exited 0
+        path = self.make_counts(tmp_path, m=2, total=10_000)
+        argv = ["analyze", "--input", str(path), "--criteria", "tsallis2", "--bootstrap", "10"]
+        assert cli.main(argv + list(flags)) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nan_vector_component_is_data_error(self, tmp_path, capsys):
+        path = self.make_counts(tmp_path, m=2, total=10_000)
+        lines = path.read_text().split("\n")
+        parts = lines[1].split(",")
+        parts[7] = "nan"  # bx
+        lines[1] = ",".join(parts)
+        path.write_text("\n".join(lines))
+        assert cli.main(["analyze", "--input", str(path), "--criteria", "db"]) == 3
+        assert "line 2: vector component bx must be finite" in capsys.readouterr().err
 
     def test_empty_file_is_usage_error(self, tmp_path):
         path = tmp_path / "empty.csv"

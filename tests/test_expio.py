@@ -112,6 +112,20 @@ class TestLoadCounts:
         with pytest.raises(CountsFormatError, match="vectors differ"):
             load_counts(path)
 
+    @pytest.mark.parametrize("column, value", [(4, "nan"), (8, "inf"), (9, "-inf")])
+    def test_non_finite_vector_component_named(self, tmp_path, column, value):
+        alice, bob = qcore.nom_settings(2)
+        path = tmp_path / "synthetic.csv"
+        write_counts(synthesize_counts(0.9, alice, bob, 1000), path)
+        lines = path.read_text().split("\n")
+        parts = lines[1].split(",")
+        parts[column] = value
+        lines[1] = ",".join(parts)
+        path.write_text("\n".join(lines))
+        name = ("ax", "ay", "az", "bx", "by", "bz")[column - 4]
+        with pytest.raises(CountsFormatError, match=f"line 2: vector component {name} must be finite"):
+            load_counts(path)
+
 
 class TestCountsToTable:
     def test_uniform(self):
@@ -235,6 +249,17 @@ class TestEvaluateWithErrors:
         records = synthesize_counts(0.9, alice, bob, 1000)
         with pytest.raises(ValueError, match="settings"):
             evaluate_with_errors(records, [RENYI], bootstrap=0, jitter_deg=0.0)
+
+    @pytest.mark.parametrize(
+        "bootstrap, jitter_deg",
+        [(-5, 0.1), (-1, 0.0), (100, math.nan), (100, -0.1), (100, math.inf), (0, math.nan)],
+    )
+    def test_rejects_negative_bootstrap_or_bad_jitter(self, bootstrap, jitter_deg):
+        # these used to report stat_err or sys_err 0 without a word
+        alice, bob = qcore.nom_settings(2)
+        records = synthesize_counts(0.9, alice, bob, 1000)
+        with pytest.raises(ValueError):
+            evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=jitter_deg)
 
     def test_deterministic_given_seed(self):
         alice, bob = qcore.nom_settings(2)

@@ -5,12 +5,10 @@ from steerkit import qcore
 from steerkit.qcore import (
     JointTable,
     bloch_projector,
-    correlation_matrix,
     joint_table_closed,
     joint_table_trace,
     mub_settings,
     nom_settings,
-    singlet_fidelity,
     werner_state,
 )
 
@@ -51,12 +49,10 @@ class TestWernerState:
 
     @pytest.mark.parametrize("mu", np.linspace(0.0, 1.0, 11))
     def test_singlet_fidelity(self, mu):
-        assert np.isclose(singlet_fidelity(werner_state(mu)), (1.0 + 3.0 * mu) / 4.0, atol=1e-12)
-
-    def test_fidelity_conversions(self):
-        assert np.isclose(qcore.mu_from_fidelity(0.98), 0.97333333333333, atol=1e-12)
-        for mu in (0.0, 0.5, 0.963):
-            assert np.isclose(qcore.mu_from_fidelity(qcore.fidelity_from_mu(mu)), mu, atol=1e-14)
+        # <psi_s| rho |psi_s> of a Werner state is (1 + 3 mu)/4
+        ket = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        fidelity = np.real(ket @ werner_state(mu) @ ket)
+        assert np.isclose(fidelity, (1.0 + 3.0 * mu) / 4.0, atol=1e-12)
 
     def test_validate_density_matrix_rejects_bad_input(self):
         good = werner_state(0.5)
@@ -92,6 +88,14 @@ class TestBlochProjector:
             bloch_projector([0.0, 0.0, 2.0], +1)
         with pytest.raises(ValueError):
             bloch_projector(Z, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # |v| - 1 is NaN here, and a NaN comparison must not read as "unit norm"
+        with pytest.raises(ValueError):
+            qcore.as_unit_vector([bad, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            joint_table_closed(0.5, [0.0, 0.0, bad], Z)
 
 
 class TestJointTables:
@@ -149,6 +153,13 @@ class TestJointTables:
         with pytest.raises(ValueError):
             joint_table_trace(np.eye(4), Z, Z)  # trace 4, not a state
 
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1)])
+    def test_nan_table_rejected(self, cell):
+        probs = np.full((2, 2), 0.25)
+        probs[cell] = np.nan
+        with pytest.raises(ValueError):
+            JointTable(probs)
+
     def test_correlation_property(self):
         table = joint_table_closed(0.8, Z, Z)
         assert np.isclose(table.correlation, -0.8, atol=1e-12)
@@ -201,35 +212,3 @@ class TestMeasurementSettings:
         alice, bob = nom_settings(3)
         overlaps = [np.dot(u, v) for u, v in zip(alice, bob)]
         assert np.allclose(overlaps, [1.0, np.sqrt(3.0) / 2.0, np.sqrt(2.0 / 3.0)], atol=1e-12)
-
-
-class TestCorrelationMatrix:
-    def test_aligned_singlet(self):
-        alice, bob = mub_settings(3, 0.0, 0.0)
-        assert np.allclose(correlation_matrix(1.0, alice, bob), -np.eye(3), atol=1e-12)
-
-    def test_white_noise(self):
-        alice, bob = mub_settings(2, 25.0, 10.0)
-        assert np.allclose(correlation_matrix(0.0, alice, bob), 0.0, atol=1e-15)
-
-    def test_nom_diagonal(self):
-        alice, bob = nom_settings(2)
-        corr = correlation_matrix(0.963, alice, bob)
-        assert np.isclose(corr[0, 0], -0.963, atol=1e-12)
-        assert np.isclose(corr[1, 1], -0.963 * np.sqrt(3.0) / 2.0, atol=1e-12)
-
-    def test_matches_trace_path(self):
-        mu = 0.77
-        alice, bob = mub_settings(3, 33.0, 30.0)
-        rho = werner_state(mu)
-        corr = correlation_matrix(mu, alice, bob)
-        for i, u in enumerate(alice):
-            for j, v in enumerate(bob):
-                assert np.isclose(
-                    joint_table_trace(rho, u, v).correlation, corr[i, j], atol=1e-12
-                )
-
-    def test_mismatched_counts_rejected(self):
-        alice, bob = mub_settings(3)
-        with pytest.raises(ValueError):
-            correlation_matrix(0.5, alice[:2], bob)
