@@ -237,10 +237,15 @@ class TestSamplerReference:
         stat = ks_two_sample(geom, reference_geometry(ref_alice, ref_bob))
         assert stat < 1.5 * 1.36 * math.sqrt(2.0 / n)
 
-    def test_haar_triads_exactly_one(self):
-        # the reference gives 1 up to rounding (test_triads_right_handed_orthonormal)
-        for seed, chunk in [(0, 0), (7, 3), (2024, 11)]:
-            assert np.array_equal(_chunk_geometry("haar", 3, seed, chunk, 10_000), np.ones(10_000))
+    @pytest.mark.parametrize("scheme, m", [("haar", 3)])
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (7, 3), (2024, 11)])
+    def test_bit_identical_to_reference(self, scheme, m, seed, chunk):
+        # Haar triads are rotations, so the reference geometry is |det| |det| = 1
+        # up to its rounding; the engine returns that exact value, bit for bit
+        n = 10_000
+        ref = reference_geometry(*reference_directions(scheme, m, chunk_rng(seed, chunk), n))
+        assert np.max(np.abs(ref - 1.0)) < 1e-12
+        assert np.array_equal(_chunk_geometry(scheme, m, seed, chunk, n), np.rint(ref))
 
 
 class TestThresholdCounting:
