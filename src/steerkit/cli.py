@@ -7,6 +7,10 @@ deterministic given the flags (and ``--seed`` where sampling is involved).
 A config file (``--config FILE``, ``key = value`` lines, ``#`` comments) may
 supply any long flag of the chosen subcommand; explicit flags override it.
 Relative ``--out`` paths are resolved against ``$STEERKIT_OUTDIR`` when set.
+
+:func:`main` may be called any number of times in one process.  It builds
+the argument parser on its first call and reuses it; no state is carried
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -299,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mode", choices=("mub", "nom"), default="mub")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
-    sweep.set_defaults(func=_cmd_sweep)
 
     mc = sub.add_parser("mc", help="violation probability under random measurements (CSV)")
     mc.add_argument("--m", type=int, choices=(2, 3), required=True)
@@ -320,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--hist-out", default=None)
     mc.add_argument("--format", choices=("csv", "json"), default="csv")
     mc.add_argument("--out", default=None)
-    mc.set_defaults(func=_cmd_mc)
 
     threshold = sub.add_parser("threshold", help="critical misalignment angle (JSON)")
     threshold.add_argument(
@@ -332,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     threshold.add_argument("--phi", type=float, default=0.0)
     threshold.add_argument("--m", type=int, choices=(2, 3), default=2)
     threshold.add_argument("--out", default=None)
-    threshold.set_defaults(func=_cmd_threshold)
 
     analyze = sub.add_parser("analyze", help="evaluate criteria on a counts file (JSON)")
     analyze.add_argument("--input", required=True, help="counts CSV (setting,a,b,counts[,vectors])")
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--alpha", type=float, default=0.0, help="with --mode mub")
     analyze.add_argument("--phi", type=float, default=0.0, help="with --mode mub")
     analyze.add_argument("--out", default=None)
-    analyze.set_defaults(func=_cmd_analyze)
 
     bound = sub.add_parser("bound", help="print a classical bound value")
     bound.add_argument("--criterion", choices=("db", "tsallis", "renyi2"), required=True)
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--da", type=int, default=2, help="untrusted-side dimension (db)")
     bound.add_argument("--q", type=float, default=2.0, help="Tsallis order")
     bound.add_argument("--out", default=None)
-    bound.set_defaults(func=_cmd_bound)
 
     return parser
 
@@ -401,20 +401,60 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _takes_value(token: str) -> bool:
+    """Whether ``token`` is a long flag that reads a value (any but ``--``, ``--help``, ``--version``)."""
+    if not token.startswith("--") or "=" in token:
+        return False
+    # argparse also accepts unambiguous prefixes such as --vers
+    return not any(flag.startswith(token) for flag in ("--help", "--version"))
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -VALUE`` as ``--flag=-VALUE`` when VALUE starts like a number.
+
+    argparse takes a token such as ``-10:10:10`` or ``-1e5`` for an option
+    and reports a missing argument; the ``=`` form is the one it accepts.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and _takes_value(out[-1]) and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+#: The parser, built on the first :func:`main` call and reused by every later one.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
+        argv = _attach_negative_values(_apply_config(argv))
     except UsageError as exc:
         print(f"steerkit: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/--version/usage errors
         return int(exc.code or 0)
+    # looked up per call, so a replaced _cmd_* function is the one that runs
+    commands = {
+        "sweep": _cmd_sweep,
+        "mc": _cmd_mc,
+        "threshold": _cmd_threshold,
+        "analyze": _cmd_analyze,
+        "bound": _cmd_bound,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"steerkit: {exc}", file=sys.stderr)
         return 2

@@ -306,6 +306,12 @@ def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
     return math.cos(angle) * vec + math.sin(angle) * np.cross(axis, vec)
 
 
+#: Most bootstrap replicates one evaluation may draw.  The Poisson draws take
+#: 32 B per replicate and setting (9.6 MB at m = 3) and each criterion's
+#: replicate values about 32 B per replicate (3.2 MB).
+MAX_BOOTSTRAP = 100_000
+
+
 def evaluate_with_errors(
     records,
     criteria,
@@ -320,8 +326,10 @@ def evaluate_with_errors(
     number of jittered-vector replicates feeds the systematic error (skipped
     when ``jitter_deg`` is 0).  Deterministic for a given seed.
     """
-    if bootstrap < 0:
-        raise ValueError(f"bootstrap replicate count must be >= 0, got {bootstrap}")
+    if not 0 <= bootstrap <= MAX_BOOTSTRAP:
+        raise ValueError(
+            f"bootstrap replicate count must lie in [0, {MAX_BOOTSTRAP}], got {bootstrap}"
+        )
     if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
     records = sorted(records, key=lambda rec: rec.setting)

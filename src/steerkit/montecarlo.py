@@ -75,6 +75,30 @@ CHUNK_SIZE = 1 << 16
 #: by every change to the numbers a given seed gives.
 STREAM_VERSION = 2
 
+#: Most chunks one run may plan: 16,384 chunks are 2**30 (about 1.07e9)
+#: samples.  Their plan and per-chunk results take about 5 MiB on one
+#: worker and 32 MiB on two or more (a pool future per chunk).
+MAX_CHUNKS = 1 << 14
+MAX_SAMPLES = MAX_CHUNKS * CHUNK_SIZE
+
+#: Most bytes the per-chunk count arrays may hold until the ordered merge:
+#: n_chunks x cells x 8 B, cells being the mu grid times the bound factors,
+#: or the histogram bins.  256 MiB admits a 100,001-point grid over 335
+#: chunks (2.2e7 samples) and a 1001-point grid over every chunk allowed.
+MAX_COUNT_BYTES = 1 << 28
+
+
+def _check_run_size(n_samples: int, n_cells: int, what: str) -> None:
+    """ValueError unless a run of ``n_samples`` keeps its plan and per-chunk counts in bounds."""
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {n_samples}")
+    n_chunks = -(-n_samples // CHUNK_SIZE)
+    if n_chunks * n_cells * 8 > MAX_COUNT_BYTES:
+        raise ValueError(
+            f"{n_cells} {what} over {n_chunks} chunks would keep more than "
+            f"{MAX_COUNT_BYTES >> 20} MiB of per-chunk counts"
+        )
+
 
 def measurement_class(scheme: str) -> str:
     """'rom' for orthogonal-measurement schemes, 'crm' for isotropic vectors."""
@@ -116,6 +140,7 @@ class MCConfig:
         object.__setattr__(self, "mu_grid", mu_grid)
         if self.n_samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
+        _check_run_size(self.n_samples, len(mu_grid), "mu points")
         _check_bound_factor(self.bound_factor)
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
@@ -269,6 +294,7 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
         raise ValueError("violation_histogram needs a single-mu configuration")
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
+    _check_run_size(cfg.n_samples, bins, "histogram bins")
     mu = cfg.mu_grid[0]
     max_violation = mu ** cfg.m - cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
     if max_violation <= 0.0:
@@ -328,6 +354,7 @@ def raised_bound_table(
     factors = [float(factor) for factor in factors]
     for factor in factors:
         _check_bound_factor(factor)
+    _check_run_size(n_samples, len(factors), "bound factors")
     configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]
     return [_estimate_cells(cfg, factors, n_workers)[0] for cfg in configs]
 

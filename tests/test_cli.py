@@ -6,11 +6,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steerkit import cli, qcore
+from steerkit import cli, montecarlo, qcore
 from steerkit.criteria import Criterion, Scenario, closed_form
-from steerkit.expio import synthesize_counts, write_counts
-from steerkit.montecarlo import CHUNK_SIZE
+from steerkit.expio import MAX_BOOTSTRAP, synthesize_counts, write_counts
+from steerkit.montecarlo import CHUNK_SIZE, MAX_SAMPLES
+
+
+def write_nom_counts(path, m=2, total=10_000):
+    alice, bob = qcore.nom_settings(m)
+    write_counts(synthesize_counts(0.963, alice, bob, total), path)
+    return path
 
 
 def run_cli(*args, env_extra=None):
@@ -77,6 +85,47 @@ class TestSweepCommand:
         argv = ["sweep", "--m", "2", "--mu", "0.9", f"--alpha-grid={grid}", "--criteria", "db"]
         assert cli.main(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_negative_grid_start_in_flag_form(self, capsys):
+        # the flag form exited 2 with "expected one argument"
+        base = ["sweep", "--m", "2", "--mu", "0.9", "--criteria", "db,shannon"]
+        assert cli.main(base + ["--alpha-grid=-10:10:10"]) == 0
+        joined = capsys.readouterr().out
+        assert len(joined.splitlines()) == 1 + 3 * 2
+        assert cli.main(base + ["--alpha-grid", "-10:10:10"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_negative_grid_start_from_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha-grid = -10:10:10\n")
+        base = ["sweep", "--m", "2", "--mu", "0.9", "--criteria", "db"]
+        assert cli.main(base + ["--alpha-grid=-10:10:10"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(base + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_negative_value_in_exponent_form(self, capsys):
+        base = ["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0", "--criteria", "db"]
+        assert cli.main(base + ["--phi=-1e-3"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(base + ["--phi", "-1e-3"]) == 0
+        assert capsys.readouterr().out == joined
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--phi", "-1e-3"], ["--phi=-1e-3"]),
+            (["--alpha-grid", "-inf:0:1"], ["--alpha-grid=-inf:0:1"]),
+            (["--mu-grid", "-.5"], ["--mu-grid=-.5"]),
+            (["--phi", "-x"], ["--phi", "-x"]),
+            (["--phi=-1", "-2"], ["--phi=-1", "-2"]),
+            (["--", "-5"], ["--", "-5"]),
+            (["--help", "-5"], ["--help", "-5"]),
+            (["--vers", "-5"], ["--vers", "-5"]),
+        ],
+    )
+    def test_attach_negative_values(self, argv, expected):
+        assert cli._attach_negative_values(argv) == expected
 
     def test_grid_cap_admits_the_mc_grid_workload(self):
         assert cli.MAX_GRID_POINTS >= 1001
@@ -184,6 +233,35 @@ class TestMcCommand:
         )
         assert result.returncode == 2
         assert result.stdout == ""
+
+    def test_negative_mu_grid_start_is_range_error(self, capsys):
+        argv = ["mc", "--m", "2", "--class", "rom", "--mu-grid", "-0.5:1:0.5", "--samples", "10"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "steerkit: mixing probability must lie in [0, 1], got -0.5\n"
+
+    @pytest.mark.parametrize("samples", [str(MAX_SAMPLES + 1), "1000000000000000000"])
+    def test_oversized_sample_count_is_usage_error(self, monkeypatch, capsys, samples):
+        # 1e18 samples hung while the chunk plan was built; now no plan is made
+        monkeypatch.setattr(montecarlo, "_chunk_plan", None)
+        argv = ["mc", "--m", "2", "--class", "rom", "--mu-grid", "1", "--samples", samples]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"steerkit: sample count must be <= {MAX_SAMPLES}, got {samples}\n"
+
+    def test_oversized_histogram_follows_the_main_output(self, tmp_path, capsys):
+        # 1e12 bins ended in a MemoryError traceback
+        out = tmp_path / "x.csv"
+        base = ["mc", "--m", "2", "--class", "rom", "--mu-grid", "1", "--samples", "1000",
+                "--out", str(out)]
+        assert cli.main(base) == 0
+        plain = out.read_bytes()
+        assert cli.main(base + ["--hist", "1000000000000"]) == 2
+        assert "per-chunk counts" in capsys.readouterr().err
+        assert out.read_bytes() == plain
+        assert not (tmp_path / "x.csv.hist.csv").exists()
 
     def test_incompatible_class_scheme(self):
         result = run_cli(
@@ -317,6 +395,14 @@ class TestAnalyzeCommand:
         assert cli.main(argv + list(flags)) == 2
         assert capsys.readouterr().out == ""
 
+    def test_oversized_bootstrap_is_usage_error(self, tmp_path, capsys):
+        # 1e12 replicates ended in a MemoryError traceback
+        path = self.make_counts(tmp_path, m=2, total=10_000)
+        assert cli.main(["analyze", "--input", str(path), "--bootstrap", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must lie in [0, {MAX_BOOTSTRAP}]" in captured.err
+
     def test_nan_vector_component_is_data_error(self, tmp_path, capsys):
         path = self.make_counts(tmp_path, m=2, total=10_000)
         lines = path.read_text().split("\n")
@@ -405,3 +491,186 @@ class TestCliInfrastructure:
         )
         assert result.returncode == 0
         assert (tmp_path / "bound.txt").exists()
+
+
+def one_of_each(counts_path) -> dict:
+    """A small, valid argv per subcommand."""
+    return {
+        "sweep": ["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0:30:10"],
+        "mc": ["mc", "--m", "3", "--class", "crm", "--mu-grid", "0.9:1:0.05", "--samples", "3000",
+               "--seed", "2", "--format", "json"],
+        "threshold": ["threshold", "--criterion", "tsallis", "--q", "3", "--mu", "0.95",
+                      "--phi", "20"],
+        "analyze": ["analyze", "--input", str(counts_path), "--bootstrap", "20", "--seed", "4"],
+        "bound": ["bound", "--criterion", "db", "--m", "3"],
+    }
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaves state for the next."""
+
+    PROBE = ["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0:20:10", "--criteria",
+             "db,shannon"]
+
+    def test_parser_built_once_over_many_calls(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(20):
+            assert cli.main(["bound", "--criterion", "renyi2"]) == 0
+            assert cli.main(["threshold", "--criterion", "db", "--mu", "0.9"]) == 0
+            assert cli.main(["sweep", "--m", "7", "--mu", "0.9"]) == 2
+        assert len(built) == 1
+        assert build() is not build()  # build_parser itself stays a plain constructor
+
+    def test_interleaved_calls_match_first_calls(self, tmp_path, capsys):
+        argvs = one_of_each(write_nom_counts(tmp_path / "counts.csv"))
+        first = {}
+        for name, argv in argvs.items():  # each one the first call of a fresh process
+            result = run_cli(*argv)
+            assert result.returncode == 0
+            first[name] = result.stdout
+        for name in [*argvs, *reversed(list(argvs)), *argvs]:
+            assert cli.main(argvs[name]) == 0
+            assert capsys.readouterr().out == first[name]
+
+    @pytest.mark.parametrize(
+        "disturbance, code",
+        [
+            (["sweep", "--mode", "nom", "--phi", "30", "--m", "7", "--mu", "0.9"], 2),
+            (["sweep", "--mode", "nom", "--phi", "30", "--m", "3", "--mu", "0.5", "--criteria", "db"], 0),
+            (["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "nan"], 2),
+            (["mc", "--bogus"], 2),
+            (["sweep", "--help"], 0),
+            (["--help"], 0),
+            (["--version"], 0),
+        ],
+    )
+    def test_call_leaves_next_output_unchanged(self, capsys, disturbance, code):
+        assert cli.main(self.PROBE) == 0
+        before = capsys.readouterr().out
+        assert cli.main(disturbance) == code
+        capsys.readouterr()
+        assert cli.main(self.PROBE) == 0
+        assert capsys.readouterr().out == before
+
+    def test_config_values_do_not_leak(self, tmp_path, capsys):
+        assert cli.main(self.PROBE) == 0
+        plain = capsys.readouterr().out
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = nom\nphi = 30\nalpha-grid = -10:10:10\n")
+        assert cli.main(self.PROBE[:1] + ["--config", str(config)] + self.PROBE[1:]) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 3 * 2  # the probe's own grid wins
+        assert cli.main(["sweep", "--m", "2", "--mu", "0.9", "--criteria", "db",
+                         "--config", str(config)]) == 0
+        assert "\n0.9,-10,30,2,db," in capsys.readouterr().out
+        assert cli.main(self.PROBE) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_replaced_command_is_honoured_after_the_parser_exists(self, monkeypatch, capsys):
+        assert cli.main(["bound", "--criterion", "renyi2"]) == 0
+        assert cli._PARSER is not None
+        seen = []
+
+        def fake_sweep(args):
+            seen.append(args.mu)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_sweep", fake_sweep)
+        assert cli.main(["sweep", "--m", "2", "--mu", "0.25"]) == 0
+        assert seen == [0.25]
+        assert capsys.readouterr().out == "0.6931471806\n"
+
+
+# Fuzzed argv: real subcommands and flags with small valid values, edge values
+# and junk, never a large valid size (each call stays a few milliseconds).
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", "junk", "", "1:2", "0:1e400:1")
+ABOVE_CAP = {
+    "--samples": (str(MAX_SAMPLES + 1),),
+    "--bootstrap": (str(MAX_BOOTSTRAP + 1), "1000000000000"),
+    "--hist": ("1000000000000",),
+    "--alpha-grid": (f"0:{cli.MAX_GRID_POINTS}:1",),
+    "--mu-grid": ("0:1:1e-6",),
+}
+GRID_VALUES = ("0:90:45", "-10:10:10", "0", "45")
+CRITERIA_VALUES = ("db", "shannon,renyi", "tsallis2,db", "renyi(0.5,inf)", "tsallis0", ",")
+FUZZ_FLAGS = {
+    "sweep": {
+        "--m": ("2", "3"), "--phi": ("0", "30", "-20"), "--mu": ("0.9", "1", "0.5"),
+        "--alpha-grid": GRID_VALUES, "--criteria": CRITERIA_VALUES, "--mode": ("mub", "nom"),
+        "--format": ("csv", "json"),
+    },
+    "mc": {
+        "--m": ("2", "3"), "--class": ("rom", "crm"), "--scheme": ("dihedral", "haar", "isotropic"),
+        "--mu-grid": ("1", "0.8:1:0.1", "-0.5:1:0.5"), "--samples": ("1", "100", "3000"),
+        "--bound-factor": ("1", "1.1"), "--seed": ("0", "5", str(2 ** 64)),
+        "--workers": ("1", "2"), "--hist": ("5",), "--hist-out": ("HIST_OUT",),
+        "--format": ("csv", "json"),
+    },
+    "threshold": {
+        "--criterion": ("shannon", "tsallis", "renyi", "db"), "--q": ("2", "1.5", "0.5"),
+        "--rs": ("0.5,inf", "1,1", "oo", "0.5"), "--mu": ("0.9733", "0.5", "1"),
+        "--phi": ("0", "30", "-30"), "--m": ("2", "3"),
+    },
+    "analyze": {
+        "--input": ("COUNTS",), "--criteria": CRITERIA_VALUES, "--bootstrap": ("0", "3"),
+        "--jitter": ("0", "0.1"), "--seed": ("0", "7"), "--mode": ("mub", "nom"),
+        "--alpha": ("0", "30"), "--phi": ("0", "30"),
+    },
+    "bound": {
+        "--criterion": ("db", "tsallis", "renyi2"), "--m": ("2", "3"), "--da": ("2", "3"),
+        "--q": ("2", "0.5"),
+    },
+}
+
+
+# the required flags, and --bootstrap, whose default of 1000 replicates is a large size
+ALWAYS_GIVEN = {"--m", "--mu", "--class", "--mu-grid", "--samples", "--criterion", "--input",
+                "--bootstrap"}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    # about half the calls give one flag an edge value; the rest are valid or left out
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
+    argv = [command]
+    for flag, valid in flags.items():
+        if flag == bad:
+            value = draw(st.sampled_from(EDGE_VALUES + ABOVE_CAP.get(flag, ())))
+        else:
+            value = draw(st.sampled_from(valid + ((None,) if flag not in ALWAYS_GIVEN else ())))
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(("--bogus", "-h", "--version", "--config", "x"))))
+    return argv
+
+
+def test_fuzzed_argv_exit_cleanly_and_leave_no_state(tmp_path, capsys):
+    counts = write_nom_counts(tmp_path / "counts.csv", m=2, total=1000)
+    substitutes = {"COUNTS": str(counts), "HIST_OUT": str(tmp_path / "hist.csv")}
+    probe = one_of_each(counts)
+    before = {}
+    for name, argv in probe.items():
+        assert cli.main(argv) == 0
+        before[name] = capsys.readouterr().out
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_argv())
+    def fuzz(argv):
+        argv = [substitutes.get(token, token) for token in argv]
+        assert cli.main(argv) in (0, 2, 3)
+        capsys.readouterr()
+
+    fuzz()
+    for name, argv in probe.items():
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == before[name]

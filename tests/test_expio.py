@@ -6,6 +6,7 @@ import pytest
 from steerkit import qcore
 from steerkit.criteria import Criterion, Scenario, closed_form
 from steerkit.expio import (
+    MAX_BOOTSTRAP,
     CountsFormatError,
     CountsRecord,
     ErrorBudget,
@@ -260,6 +261,16 @@ class TestEvaluateWithErrors:
         records = synthesize_counts(0.9, alice, bob, 1000)
         with pytest.raises(ValueError):
             evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=jitter_deg)
+
+    def test_rejects_oversized_bootstrap_before_drawing(self, monkeypatch):
+        # 1e12 replicates ended in a MemoryError from rng.poisson
+        alice, bob = qcore.nom_settings(2)
+        records = synthesize_counts(0.9, alice, bob, 1000)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for bootstrap in (MAX_BOOTSTRAP + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="bootstrap replicate count"):
+                evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=0.0)
+        assert MAX_BOOTSTRAP >= 1000  # the README's and the analyze benchmark's size
 
     def test_deterministic_given_seed(self):
         alice, bob = qcore.nom_settings(2)

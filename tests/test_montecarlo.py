@@ -65,6 +65,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10, bound_factor=factor)
 
+    @pytest.mark.parametrize(
+        "n_samples, n_mu",
+        [(montecarlo.MAX_SAMPLES + 1, 1), (10 ** 18, 1), (400 * CHUNK_SIZE, cli.MAX_GRID_POINTS)],
+    )
+    def test_rejects_oversized_runs_before_planning(self, monkeypatch, n_samples, n_mu):
+        # 1e18 samples hung in _chunk_plan; the check runs before any plan exists
+        monkeypatch.setattr(montecarlo, "_chunk_plan", None)
+        with pytest.raises(ValueError, match="sample count|per-chunk counts"):
+            MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,) * n_mu, n_samples=n_samples)
+
+    def test_size_caps_admit_the_documented_runs(self):
+        # the mc-grid benchmark's 1001-point grid at 1e6 samples, the largest grid
+        # the CLI accepts at the same size, and the largest sample count on one point
+        for n_mu, n_samples in ((1001, 1_000_000), (cli.MAX_GRID_POINTS, 1_000_000),
+                                (1, montecarlo.MAX_SAMPLES)):
+            MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,) * n_mu, n_samples=n_samples)
+        assert montecarlo.MAX_CHUNKS * 1001 * 8 <= montecarlo.MAX_COUNT_BYTES
+
 
 def assert_orthonormal_rows(vecs):
     """Rows of each (..., k, 3) block are orthonormal to 1e-12."""
@@ -449,6 +467,16 @@ class TestViolationHistogram:
         with pytest.raises(ValueError):
             violation_histogram(cfg)  # max LHS = 0.25 < bound: no attainable violation
 
+    def test_rejects_oversized_bin_count_before_allocating(self):
+        # 1e12 bins ended in a MemoryError from np.linspace
+        cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=100, seed=23)
+        with pytest.raises(ValueError, match="per-chunk counts"):
+            montecarlo.histogram_edges(cfg, 10 ** 12)
+        cap = montecarlo.MAX_COUNT_BYTES // 8
+        assert len(montecarlo.histogram_edges(cfg, 50)) == 51
+        with pytest.raises(ValueError, match="per-chunk counts"):
+            montecarlo.histogram_edges(cfg, cap + 1)
+
 
 class TestRaisedBoundTable:
     def test_layout_and_reference_rows(self):
@@ -480,6 +508,8 @@ class TestRaisedBoundTable:
             {"mu": math.nan},
             {"n_samples": 0},
             {"n_samples": -5},
+            {"n_samples": montecarlo.MAX_SAMPLES + 1},
+            {"n_samples": montecarlo.MAX_SAMPLES, "factors": (1.0,) * 2049},
         ],
     )
     def test_rejects_invalid_inputs(self, kwargs):
