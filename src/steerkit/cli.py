@@ -1,8 +1,11 @@
 """Command-line front end: sweeps, Monte Carlo runs, thresholds, data analysis.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, missing/empty input
-file), 3 for input-data errors (malformed counts rows).  All outputs are
-deterministic given the flags (and ``--seed`` where sampling is involved).
+file), 3 for input-data errors (malformed counts rows).  Any ``ValueError``
+the library raises for a flag value is a usage error: :func:`main` prints its
+message and exits 2, so the subcommands do not re-check or re-wrap it.  All
+outputs are deterministic given the flags (and ``--seed`` where sampling is
+involved).
 
 A config file (``--config FILE``, ``key = value`` lines, ``#`` comments) may
 supply any long flag of the chosen subcommand; explicit flags override it.
@@ -23,12 +26,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from . import __version__, criteria, expio, montecarlo, qcore
-
-
-class UsageError(ValueError):
-    """Flag-level problem; maps to exit code 2."""
-
+from . import __version__, criteria, entropy, expio, montecarlo, qcore
 
 #: Most points a START:STOP:STEP grid may hold; checked before the list is built.
 MAX_GRID_POINTS = 100_001
@@ -38,21 +36,21 @@ def _parse_grid(text: str) -> list[float]:
     """Parse START:STOP:STEP (stop inclusive) or a single value; all finite."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise UsageError(f"grid must be START:STOP:STEP or a single value, got {text!r}")
+        raise ValueError(f"grid must be START:STOP:STEP or a single value, got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise UsageError(f"non-numeric grid specification {text!r}") from None
+        raise ValueError(f"non-numeric grid specification {text!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"grid values must be finite, got {text!r}")
+        raise ValueError(f"grid values must be finite, got {text!r}")
     if len(values) == 1:
         return values
     start, stop, step = values
     if step <= 0.0 or stop < start:
-        raise UsageError(f"grid needs stop >= start and step > 0, got {text!r}")
+        raise ValueError(f"grid needs stop >= start and step > 0, got {text!r}")
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:  # also an overflow to inf
-        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return [start + i * step for i in range(int(span) + 1)]
 
 
@@ -75,11 +73,8 @@ def _split_criteria(text: str) -> list[str]:
 def _parse_criteria(text: str) -> list[criteria.Criterion]:
     tokens = _split_criteria(text)
     if not tokens:
-        raise UsageError("empty criteria list")
-    try:
-        return [criteria.Criterion.parse(tok) for tok in tokens]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("empty criteria list")
+    return [criteria.Criterion.parse(tok) for tok in tokens]
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -133,22 +128,19 @@ def _default_scheme(mc_class: str, m: int) -> str:
 def _cmd_mc(args) -> int:
     scheme = args.scheme or _default_scheme(args.mc_class, args.m)
     if montecarlo.measurement_class(scheme) != args.mc_class:
-        raise UsageError(
+        raise ValueError(
             f"scheme {scheme!r} belongs to class {montecarlo.measurement_class(scheme)!r}, "
             f"not {args.mc_class!r}"
         )
     mu_grid = _parse_grid(args.mu_grid)
-    try:
-        cfg = montecarlo.MCConfig(
-            m=args.m,
-            scheme=scheme,
-            mu_grid=tuple(mu_grid),
-            n_samples=args.samples,
-            bound_factor=args.bound_factor,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = montecarlo.MCConfig(
+        m=args.m,
+        scheme=scheme,
+        mu_grid=tuple(mu_grid),
+        n_samples=args.samples,
+        bound_factor=args.bound_factor,
+        seed=args.seed,
+    )
     hist_out, hist_error = _histogram_request(args, cfg)
     if args.hist is None or hist_error is not None:
         estimates = montecarlo.violation_probability(cfg, n_workers=args.workers)
@@ -165,11 +157,8 @@ def _cmd_mc(args) -> int:
     if args.hist is not None:
         # histogram errors surface only after the main output is written
         if hist_error is not None:
-            raise UsageError(hist_error)
-        try:
-            hist = montecarlo.violation_histogram(cfg, bins=args.hist, bin_counts=bin_counts)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            raise ValueError(hist_error)
+        hist = montecarlo.violation_histogram(cfg, bins=args.hist, bin_counts=bin_counts)
         with _output(hist_out) as stream:
             montecarlo.histogram_to_csv(hist, stream)
     return 0
@@ -198,18 +187,13 @@ def _threshold_criterion(args) -> criteria.Criterion:
         try:
             return criteria.Criterion.parse(f"renyi({args.rs})")
         except ValueError:
-            raise UsageError(f"--rs must be R,S (inf or oo allowed), got {args.rs!r}") from None
+            raise ValueError(f"--rs must be R,S (inf or oo allowed), got {args.rs!r}") from None
     return criteria.Criterion(args.criterion)
 
 
 def _cmd_threshold(args) -> int:
     criterion = _threshold_criterion(args)
-    if not 0.0 <= args.mu <= 1.0:
-        raise UsageError(f"--mu must lie in [0, 1], got {args.mu}")
-    try:
-        alpha = criteria.critical_alpha(criterion, args.mu, args.phi, args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    alpha = criteria.critical_alpha(criterion, args.mu, args.phi, args.m)
     payload = {
         "criterion": criterion.kind,
         "order": criterion.order_label(args.m),
@@ -244,16 +228,13 @@ def _cmd_analyze(args) -> int:
             for rec, u, v in zip(records, alice, bob)
         ]
     crit_list = _parse_criteria(args.criteria)
-    try:
-        evaluated = expio.evaluate_with_errors(
-            records,
-            crit_list,
-            bootstrap=args.bootstrap,
-            jitter_deg=args.jitter,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    evaluated = expio.evaluate_with_errors(
+        records,
+        crit_list,
+        bootstrap=args.bootstrap,
+        jitter_deg=args.jitter,
+        seed=args.seed,
+    )
     _emit_json(expio.results_to_json_records(evaluated), args.out)
     return 0
 
@@ -262,15 +243,8 @@ def _cmd_bound(args) -> int:
     if args.criterion == "db":
         value = criteria.db_bound(args.m, args.da)
     elif args.criterion == "tsallis":
-        from . import entropy
-
-        try:
-            value = entropy.eur_bound_tsallis(args.q, m=args.m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        value = entropy.eur_bound_tsallis(args.q, m=args.m)
     else:  # renyi2
-        from . import entropy
-
         value = entropy.eur_bound_renyi2()
     with _output(args.out) as stream:
         stream.write(f"{value:.10g}\n")
@@ -370,26 +344,26 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
     if not rest:
-        raise UsageError("--config requires a subcommand")
+        raise ValueError("--config requires a subcommand")
     try:
         with open(path) as stream:
             lines = stream.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     injected: list[str] = []
     for line_no, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected key = value, got {line!r}")
+            raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise UsageError(f"{path}:{line_no}: empty key")
+            raise ValueError(f"{path}:{line_no}: empty key")
         flag = f"--{key}"
         if value.lower() == "true":
             injected.append(flag)
@@ -436,7 +410,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _attach_negative_values(_apply_config(argv))
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"steerkit: {exc}", file=sys.stderr)
         return 2
     if _PARSER is None:
@@ -455,13 +429,10 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except UsageError as exc:
-        print(f"steerkit: {exc}", file=sys.stderr)
-        return 2
     except expio.CountsFormatError as exc:
         print(f"steerkit: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # flag combinations rejected downstream
+    except (ValueError, OSError) as exc:  # flag values the library rejects, unwritable --out
         print(f"steerkit: {exc}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,10 @@ Counts file format (CSV, header required)::
     setting,a,b,counts[,ax,ay,az,bx,by,bz]
 
 ``setting`` numbers the measurement settings contiguously from 1; ``a`` and
-``b`` are the +1/-1 outcomes; ``counts`` is a non-negative integer.  The six
-optional columns attach the measurement directions of the setting (required
-for the determinant criterion and for systematic-error estimation) and must
-be identical on all four rows of a setting.
+``b`` are the +1/-1 outcomes; ``counts`` is a non-negative integer below
+2**53.  The six optional columns attach the measurement directions of the
+setting (required for the determinant criterion and for systematic-error
+estimation) and must be identical on all four rows of a setting.
 
 Error model: the statistical error is a parametric Poisson bootstrap over the
 observed counts; the systematic error re-evaluates each criterion with Bob's
@@ -47,6 +47,10 @@ class CountsRecord:
         counts = np.asarray(self.counts)
         if counts.shape != (2, 2):
             raise ValueError(f"counts must be 2x2, got shape {counts.shape}")
+        # before the int64 cast, which would truncate 0.5 to 0 and wrap inf or 1e30;
+        # below 2**53 a count is exact in float64 and the int64 total cannot overflow
+        if not (np.all(np.abs(counts) < 2.0 ** 53) and np.all(counts == np.floor(counts))):
+            raise ValueError(f"counts must be whole numbers below 2**53, got {counts.tolist()}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         total = int(counts.sum())
@@ -255,13 +259,19 @@ def fit_visibility(records) -> float:
     Minimises sum_m (E_m + mu u_m.v_m)^2 over mu, using the per-setting
     correlations E_m and the recorded measurement directions.
     """
-    num = 0.0
-    den = 0.0
+    records = list(records)
     for rec in records:
         if rec.alice_vec is None or rec.bob_vec is None:
             raise ValueError(f"setting {rec.setting} carries no measurement vectors")
-        overlap = float(np.dot(rec.alice_vec, rec.bob_vec))
-        corr = counts_to_table(rec).correlation
+    overlaps = [float(np.dot(rec.alice_vec, rec.bob_vec)) for rec in records]
+    return _least_squares_visibility([counts_to_table(rec) for rec in records], overlaps)
+
+
+def _least_squares_visibility(tables, overlaps) -> float:
+    num = 0.0
+    den = 0.0
+    for table, overlap in zip(tables, overlaps):
+        corr = table.correlation
         num += -corr * overlap
         den += overlap ** 2
     if den == 0.0:
@@ -269,29 +279,14 @@ def fit_visibility(records) -> float:
     return num / den
 
 
-def _evaluate_criterion(criterion: Criterion, tables, records, mu_fit) -> SteeringResult:
+def _evaluate_criterion(criterion: Criterion, tables, alice, bob, mu) -> SteeringResult:
     if criterion.kind == "db":
-        alice = [rec.alice_vec for rec in records]
-        bob = [rec.bob_vec for rec in records]
-        return db_steering(alice, bob, mu_fit, len(records))
+        return db_steering(alice, bob, mu)
     if criterion.kind == "shannon":
         return tsallis_steering(tables, 1.0)
     if criterion.kind == "tsallis":
         return tsallis_steering(tables, criterion.q)
     return renyi_steering(tables, criterion.r, criterion.s)
-
-
-def _check_requirements(criterion: Criterion, records) -> None:
-    m = len(records)
-    if criterion.kind == "renyi" and m != 2:
-        raise ValueError(f"the Renyi criterion needs exactly 2 settings, got {m}")
-    if criterion.kind in ("shannon", "tsallis") and m not in (2, 3):
-        raise ValueError(f"entropic criteria need 2 or 3 settings, got {m}")
-    if criterion.kind == "db":
-        if m not in (2, 3):
-            raise ValueError(f"the determinant criterion needs 2 or 3 settings, got {m}")
-        if any(rec.alice_vec is None or rec.bob_vec is None for rec in records):
-            raise ValueError("the determinant criterion needs measurement vectors on every setting")
 
 
 def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
@@ -306,9 +301,14 @@ def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
     return math.cos(angle) * vec + math.sin(angle) * np.cross(axis, vec)
 
 
+def _spread(values) -> list[float]:
+    """Sample standard deviation of each row of replicate values; 0 below two replicates."""
+    return [float(np.std(row, ddof=1)) if row.size > 1 else 0.0 for row in values]
+
+
 #: Most bootstrap replicates one evaluation may draw.  The Poisson draws take
 #: 32 B per replicate and setting (9.6 MB at m = 3) and each criterion's
-#: replicate values about 32 B per replicate (3.2 MB).
+#: replicate values 8 B per replicate (0.8 MB).
 MAX_BOOTSTRAP = 100_000
 
 
@@ -325,6 +325,10 @@ def evaluate_with_errors(
     ``bootstrap`` Poisson replicates feed the statistical error; the same
     number of jittered-vector replicates feeds the systematic error (skipped
     when ``jitter_deg`` is 0).  Deterministic for a given seed.
+
+    Every input check runs before the first replicate: the point estimate
+    goes through the same estimators, which reject a settings count they do
+    not support.
     """
     if not 0 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(
@@ -335,19 +339,22 @@ def evaluate_with_errors(
     records = sorted(records, key=lambda rec: rec.setting)
     criteria = list(criteria)
     needs_fit = any(c.kind == "db" for c in criteria) or jitter_deg > 0.0
-    for criterion in criteria:
-        _check_requirements(criterion, records)
     if needs_fit and any(rec.alice_vec is None or rec.bob_vec is None for rec in records):
         raise ValueError(
             "systematic jitter and the determinant criterion need measurement vectors; "
             "attach them to the counts file or the records"
         )
+    alice = [rec.alice_vec for rec in records]
+    bob = [rec.bob_vec for rec in records]
+
+    def evaluate(tables, bob, mu) -> list[SteeringResult]:
+        return [_evaluate_criterion(c, tables, alice, bob, mu) for c in criteria]
 
     tables = [counts_to_table(rec) for rec in records]
     mu_fit = fit_visibility(records) if needs_fit else None
     if mu_fit is not None:
         mu_fit = min(max(mu_fit, 0.0), 1.0)
-    point = [_evaluate_criterion(c, tables, records, mu_fit) for c in criteria]
+    point = evaluate(tables, bob, mu_fit)
 
     rng = np.random.default_rng(seed)
     stat_errors = [0.0] * len(criteria)
@@ -356,47 +363,35 @@ def evaluate_with_errors(
     if bootstrap > 0:
         raw = np.stack([rec.counts for rec in records])  # (m, 2, 2)
         draws = rng.poisson(lam=raw, size=(bootstrap,) + raw.shape)
-        samples = [[] for _ in criteria]
+        overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)] if needs_fit else None
+        values = np.empty((len(criteria), bootstrap))
+        used = 0
         for rep in draws:
-            if np.any(rep.sum(axis=(1, 2)) == 0):
+            totals = rep.sum(axis=(1, 2))
+            if np.any(totals == 0):
                 continue  # unnormalisable replicate; only possible at tiny counts
-            rep_records = [
-                CountsRecord(rec.setting, cells, rec.alice_vec, rec.bob_vec)
-                for rec, cells in zip(records, rep)
+            rep_tables = [
+                JointTable(cells / total, setting=rec.setting)
+                for rec, cells, total in zip(records, rep, totals)
             ]
-            rep_tables = [counts_to_table(r) for r in rep_records]
             # unclipped: clamping pins replicates fitted above 1 to exactly 1
             # and collapses the spread of the determinant value
-            rep_mu = fit_visibility(rep_records) if needs_fit else None
-            for k, criterion in enumerate(criteria):
-                samples[k].append(
-                    _evaluate_criterion(criterion, rep_tables, rep_records, rep_mu).value
-                )
-        stat_errors = [
-            float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0 for vals in samples
-        ]
+            rep_mu = _least_squares_visibility(rep_tables, overlaps) if needs_fit else None
+            values[:, used] = [res.value for res in evaluate(rep_tables, bob, rep_mu)]
+            used += 1
+        stat_errors = _spread(values[:, :used])
 
     if jitter_deg > 0.0 and bootstrap > 0:
         sigma = math.radians(jitter_deg)
-        samples = [[] for _ in criteria]
-        alice = [rec.alice_vec for rec in records]
-        for _ in range(bootstrap):
-            jittered = [_jittered_vector(rec.bob_vec, sigma, rng) for rec in records]
+        values = np.empty((len(criteria), bootstrap))
+        for i in range(bootstrap):
+            jittered = [_jittered_vector(v, sigma, rng) for v in bob]
             model_tables = [
-                qcore.joint_table_closed(mu_fit, u, v, setting=i + 1)
-                for i, (u, v) in enumerate(zip(alice, jittered))
+                qcore.joint_table_closed(mu_fit, u, v, setting=k + 1)
+                for k, (u, v) in enumerate(zip(alice, jittered))
             ]
-            model_records = [
-                CountsRecord(rec.setting, rec.counts, rec.alice_vec, v)
-                for rec, v in zip(records, jittered)
-            ]
-            for k, criterion in enumerate(criteria):
-                samples[k].append(
-                    _evaluate_criterion(criterion, model_tables, model_records, mu_fit).value
-                )
-        sys_errors = [
-            float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0 for vals in samples
-        ]
+            values[:, i] = [res.value for res in evaluate(model_tables, jittered, mu_fit)]
+        sys_errors = _spread(values)
 
     return [
         (res, ErrorBudget(stat=stat, sys=sys_err))

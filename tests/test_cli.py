@@ -133,7 +133,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("grid", ["0:{cap}:1", "0:1e308:1e-308", "-1e308:1e308:1"])
     def test_oversized_grid_rejected_before_building(self, grid):
-        with pytest.raises(cli.UsageError, match="more than"):
+        with pytest.raises(ValueError, match="more than"):
             cli._parse_grid(grid.format(cap=cli.MAX_GRID_POINTS))
 
     def test_renyi_with_three_settings_is_usage_error(self):
@@ -445,6 +445,40 @@ class TestAnalyzeCommand:
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert abs(payload[0]["value"] - 0.0536) < 1e-3
+
+
+def bare_counts(path, m=2):
+    """A counts file without measurement vectors."""
+    alice, bob = qcore.nom_settings(m)
+    records = synthesize_counts(0.963, alice, bob, 10_000)
+    write_counts([type(rec)(rec.setting, rec.counts) for rec in records], path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["threshold", "--criterion", "shannon", "--mu", "1.5"],
+         "mixing probability must lie in [0, 1], got 1.5"),
+        (["analyze", "--input", "M3_COUNTS", "--criteria", "renyi", "--bootstrap", "10"],
+         "the Renyi criterion needs exactly two settings, got 3"),
+        (["mc", "--m", "2", "--class", "crm", "--scheme", "dihedral", "--mu-grid", "1",
+          "--samples", "10"],
+         "scheme 'dihedral' belongs to class 'rom', not 'crm'"),
+        (["sweep", "--m", "3", "--mu", "0.9", "--criteria", "renyi"],
+         "the Renyi criterion needs exactly two settings, got 3"),
+        (["analyze", "--input", "BARE_COUNTS", "--criteria", "db", "--bootstrap", "10"],
+         "systematic jitter and the determinant criterion need measurement vectors"),
+    ],
+)
+def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):
+    files = {"M3_COUNTS": str(write_nom_counts(tmp_path / "m3.csv", m=3)),
+             "BARE_COUNTS": str(bare_counts(tmp_path / "bare.csv"))}
+    assert cli.main([files.get(token, token) for token in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"steerkit: {message}")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
 
 
 class TestBoundCommand:

@@ -145,6 +145,26 @@ class TestCountsToTable:
         with pytest.raises(ValueError):
             CountsRecord(1, np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[0.5, 0.5], [0.5, 0.5]],  # passed the zero-total check, then held all zeros
+            [[1.7, 2.0], [3.0, 4.0]],
+            [[math.inf, 0.0], [0.0, 0.0]],  # raised OverflowError
+            [[math.nan, 1.0], [1.0, 1.0]],
+            [[1e30, 1.0], [1.0, 1.0]],  # wrapped to a negative int64
+        ],
+    )
+    def test_fractional_or_non_finite_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="whole numbers below"):
+            CountsRecord(1, np.array(counts))
+
+    def test_integer_valued_float_counts_accepted(self):
+        record = CountsRecord(1, np.array([[10.0, 40.0], [40.0, 10.0]]))
+        assert record.counts.dtype == np.int64
+        assert record.counts.tolist() == [[10, 40], [40, 10]]
+        assert record.total == 100
+
 
 class TestVisibilityFit:
     def test_exact_recovery(self):

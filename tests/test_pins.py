@@ -3,11 +3,18 @@
 The violation counts below were recorded from the Monte Carlo engine and pin
 its Philox streams, keyed by ``STREAM_VERSION``: any change to what a seed
 draws fails here until it bumps the version and records its own pins.
+
+The ``analyze`` pins hold the sha256 of the JSON that fixed counts files and
+seeds print, so any change to the bootstrap or jitter draws, or to the
+arithmetic of the error budget, fails here too.
 """
+
+import hashlib
 
 import pytest
 
 import steerkit
+from steerkit import cli
 from steerkit.criteria import DB_VECTOR_THRESHOLD
 from steerkit.montecarlo import STREAM_VERSION, MCConfig, violation_probability
 
@@ -52,3 +59,49 @@ def test_violation_counts_pinned(scheme, m, bound_factor, counts):
 def test_public_names_resolve():
     missing = [name for name in steerkit.__all__ if not hasattr(steerkit, name)]
     assert missing == []
+
+
+#: Counts files for the analyze pins: per setting, the vector columns
+#: ax,ay,az,bx,by,bz as written and the counts of the outcome pairs
+#: (+1,+1), (+1,-1), (-1,+1), (-1,-1).
+ANALYZE_FILES = {
+    "m2": [
+        ("0.24321034680169396,0.088521326901376859,0.96592582628906831,0,0,1", (105, 1936, 1872, 111)),
+        ("0.90767337119036873,0.33036608954935215,-0.25881904510252074,1,0,0", (148, 1812, 1845, 145)),
+    ],
+    "m3": [
+        ("0.1503837331804353,0.086824088833465152,0.98480775301220802,0,0,1", (100, 2898, 2923, 96)),
+        ("-0.49999999999999994,0.86602540378443871,0,0,1,0", (275, 2714, 2791, 254)),
+        ("0.85286853195244328,0.49240387650610395,-0.17364817766693033,1,0,0", (285, 2736, 2632, 285)),
+    ],
+    "zero-cell": [
+        ("0.087155742747658166,0,0.99619469809174555,0,0,1", (0, 192, 180, 6)),
+        ("0.99619469809174555,0,-0.087155742747658166,1,0,0", (3, 238, 204, 6)),
+    ],
+}
+
+#: (file, flags, sha256 of the JSON analyze prints).
+ANALYZE_PINS = [
+    ("m2", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200", "--jitter", "0.1",
+            "--seed", "11"],
+     "a81a4135762e30ecaef95fa2bb1f9d8b5cdb2ee977afc740a47e2f84c1386e1c"),
+    ("m3", ["--criteria", "shannon,tsallis2,db", "--bootstrap", "200", "--jitter", "0.1",
+            "--seed", "12"],
+     "f566ac46463a0db8a47e111b92437da0ffd01f0257b3015e88192273f800f875"),
+    ("zero-cell", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200",
+                   "--jitter", "0.1", "--seed", "13"],
+     "e83d421427e3910ca75b73b3137fa2ed625cc26f99057f689a0a537b542fa672"),
+]
+
+
+@pytest.mark.parametrize("name, flags, digest", ANALYZE_PINS)
+def test_analyze_output_pinned(tmp_path, name, flags, digest):
+    lines = ["setting,a,b,counts,ax,ay,az,bx,by,bz"]
+    for setting, (vectors, counts) in enumerate(ANALYZE_FILES[name], start=1):
+        outcomes = ("+1,+1", "+1,-1", "-1,+1", "-1,-1")
+        lines += [f"{setting},{ab},{n},{vectors}" for ab, n in zip(outcomes, counts)]
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    assert cli.main(["analyze", "--input", str(counts_path), "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
