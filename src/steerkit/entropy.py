@@ -138,7 +138,7 @@ def eur_bound_tsallis(q: float, m: int | None = None, override: float | None = N
     if override is not None:
         return float(override)
     if m not in (2, 3):
-        raise ValueError(f"no built-in bound for m = {m}; supply an override")
+        raise ValueError(f"no built-in bound for {m} settings; built-in bounds cover 2 or 3 settings")
     return (m - 1) * q_log(2.0, q)
 
 

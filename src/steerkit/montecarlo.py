@@ -42,6 +42,16 @@ isotropic, 3   4         s_A u_A s_B u_B
 direction vectors and reduced them; version 2 draws the scalars above, so a
 given seed gives different numbers than under version 1.
 
+Counting
+--------
+
+A sample violates a (mu, bound factor) cell when its geometric factor exceeds
+the cell's threshold.  A run with one cell counts each chunk in one
+comparison pass; the dihedral scheme compares the drawn angle with the
+threshold's arccosine instead of taking the cosine of every sample.  Grids of
+several cells sort each chunk once and count every threshold by binary
+search.  Both give the counts of a sample-by-sample comparison exactly.
+
 Determinism
 -----------
 
@@ -210,6 +220,35 @@ def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) ->
     return geom
 
 
+#: Half-width, in radians, of the band around acos(t) in which the dihedral
+#: count evaluates np.cos.  Outside the band the true cosine differs from t
+#: by at least 1 - cos(1e-7) = 5e-15 (cos is concave on [0, pi/2], so a
+#: step of 1e-7 changes it least when the step starts at 0), far beyond the
+#: few ulp of error in np.cos, in acos and in scaling the band to u; so
+#: comparing u with the band's ends decides every sample as
+#: np.cos(u pi/2) > t would.
+_DIHEDRAL_BAND = 1e-7
+
+
+def _dihedral_counts(u: np.ndarray, thresholds) -> np.ndarray:
+    """Per threshold t, the samples with np.cos(u * (pi/2)) > t, counted on u.
+
+    cos(u pi/2) > t holds for u below acos(t) / (pi/2); samples within
+    :data:`_DIHEDRAL_BAND` of that edge are decided by the cosine itself.
+    """
+    counts = np.empty(len(thresholds), dtype=np.intp)
+    for i, t in enumerate(thresholds):
+        edge = math.acos(min(max(t, -1.0), 1.0))
+        lo = (edge - _DIHEDRAL_BAND) / (np.pi / 2.0)
+        hi = (edge + _DIHEDRAL_BAND) / (np.pi / 2.0)
+        count = np.count_nonzero(u < lo)
+        if np.count_nonzero(u <= hi) > count:
+            near = u[(u >= lo) & (u <= hi)]
+            count += np.count_nonzero(np.cos(near * (np.pi / 2.0)) > t)
+        counts[i] = count
+    return counts
+
+
 def _chunk_plan(n_samples: int):
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     return [
@@ -234,11 +273,13 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     """One :class:`MCEstimate` per (mu, bound factor) cell, all from one sample set.
 
     A sample violates a cell when its geometry exceeds factor * T_m / mu^m
-    (never where mu^m is 0, also when it underflows).  Each chunk sorts its
-    geometry once and counts every threshold by binary search.  With
-    ``hist_edges`` (single-mu grid) the same pass also bins the violation
-    amount mu^m * geometry - factor * T_m of the violating samples.  Per-chunk
-    counts are merged in chunk order.
+    (never where mu^m is 0, also when it underflows).  With one cell each
+    chunk is counted in one comparison pass, the dihedral scheme on its drawn
+    angle without the cosine (:func:`_dihedral_counts`); with more cells each
+    chunk sorts its geometry once and counts every threshold by binary
+    search.  With ``hist_edges`` (single-mu grid) the chunk's geometry also
+    gives the violation amount mu^m * geometry - factor * T_m, binned over the
+    violating samples.  Per-chunk counts are merged in chunk order.
 
     Returns ``(estimates, bin_counts)``; ``bin_counts`` is None without edges.
     """
@@ -251,9 +292,18 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
         ]
     )
 
+    single = len(cells) == 1
+    angle_count = single and hist_edges is None and cfg.scheme == "dihedral"
+
     def task(chunk_index, size):
+        if angle_count:
+            # the uniforms _chunk_geometry draws for dihedral, before the cosine
+            return _dihedral_counts(chunk_rng(cfg.seed, chunk_index).random(size), thresholds), None
         geom = _chunk_geometry(cfg.scheme, m, cfg.seed, chunk_index, size)
-        counts = size - np.searchsorted(np.sort(geom), thresholds, side="right")
+        if single:
+            counts = np.array([np.count_nonzero(geom > thresholds[0])], dtype=np.intp)
+        else:
+            counts = size - np.searchsorted(np.sort(geom), thresholds, side="right")
         if hist_edges is None:
             return counts, None
         amounts = cfg.mu_grid[0] ** m * geom - cfg.bound_factor * DB_VECTOR_THRESHOLD[m]

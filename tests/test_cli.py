@@ -204,18 +204,20 @@ class TestMcCommand:
          (3, "crm", "isotropic")],
     )
     def test_output_identical_across_workers_and_reruns(self, tmp_path, m, mc_class, scheme):
-        base = [
-            "mc", "--m", str(m), "--class", mc_class, "--scheme", scheme, "--mu-grid", "0.6:1:0.05",
-            "--samples", str(3 * CHUNK_SIZE + 17), "--seed", "4",
-        ]
-        for fmt in ("csv", "json"):
-            outputs = []
-            for run, workers in enumerate(("1", "2", "1", "2")):
-                out = tmp_path / f"{fmt}-{run}"
-                argv = base + ["--workers", workers, "--format", fmt, "--out", str(out)]
-                assert cli.main(argv) == 0
-                outputs.append(out.read_bytes())
-            assert len(set(outputs)) == 1
+        # a grid counts by sorting each chunk, a single mu in one comparison pass
+        for grid in ("0.6:1:0.05", "0.9"):
+            base = [
+                "mc", "--m", str(m), "--class", mc_class, "--scheme", scheme, "--mu-grid", grid,
+                "--samples", str(3 * CHUNK_SIZE + 17), "--seed", "4",
+            ]
+            for fmt in ("csv", "json"):
+                outputs = []
+                for run, workers in enumerate(("1", "2", "1", "2")):
+                    out = tmp_path / f"{grid}-{fmt}-{run}"
+                    argv = base + ["--workers", workers, "--format", fmt, "--out", str(out)]
+                    assert cli.main(argv) == 0
+                    outputs.append(out.read_bytes())
+                assert len(set(outputs)) == 1
 
     @pytest.mark.parametrize(
         "flags",
@@ -455,6 +457,13 @@ def bare_counts(path, m=2):
     return path
 
 
+def four_setting_counts(path):
+    """A counts file with the three nom settings and the first repeated."""
+    alice, bob = qcore.nom_settings(3)
+    write_counts(synthesize_counts(0.963, [*alice, alice[0]], [*bob, bob[0]], 10_000), path)
+    return path
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -469,11 +478,17 @@ def bare_counts(path, m=2):
          "the Renyi criterion needs exactly two settings, got 3"),
         (["analyze", "--input", "BARE_COUNTS", "--criteria", "db", "--bootstrap", "10"],
          "systematic jitter and the determinant criterion need measurement vectors"),
+        # named a library-only override that the CLI has no flag for
+        (["analyze", "--input", "M4_COUNTS", "--criteria", "shannon", "--bootstrap", "10"],
+         "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
+        (["analyze", "--input", "M4_COUNTS", "--criteria", "tsallis2", "--bootstrap", "10"],
+         "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):
     files = {"M3_COUNTS": str(write_nom_counts(tmp_path / "m3.csv", m=3)),
-             "BARE_COUNTS": str(bare_counts(tmp_path / "bare.csv"))}
+             "BARE_COUNTS": str(bare_counts(tmp_path / "bare.csv")),
+             "M4_COUNTS": str(four_setting_counts(tmp_path / "m4.csv"))}
     assert cli.main([files.get(token, token) for token in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -688,7 +703,9 @@ def fuzzed_argv(draw):
     return argv
 
 
-def test_fuzzed_argv_exit_cleanly_and_leave_no_state(tmp_path, capsys):
+def test_fuzzed_argv_exit_cleanly_and_leave_no_state(tmp_path, capsys, monkeypatch):
+    # an edge value given to --hist-out is a relative path, written where the test runs
+    monkeypatch.chdir(tmp_path)
     counts = write_nom_counts(tmp_path / "counts.csv", m=2, total=1000)
     substitutes = {"COUNTS": str(counts), "HIST_OUT": str(tmp_path / "hist.csv")}
     probe = one_of_each(counts)

@@ -304,6 +304,31 @@ class TestThresholdCounting:
         assert [est.p_violation for est in estimates] == list(expected / n_samples)
 
 
+#: Drawn angles at and near the ends of [0, 1): u = 6.4e-8 lies just past
+#: the band around acos(1) = 0, which ends at u = 1e-7 / (pi/2).
+SPECIAL_U = (0.0, 5e-324, 1e-17, 6.4e-8, float(np.nextafter(1.0, 0.0)))
+
+
+class TestDihedralAngleCount:
+    """The single-cell dihedral count on the drawn u against np.cos(u pi/2) > t, sample by sample."""
+
+    @pytest.mark.parametrize("size", [1, 17, CHUNK_SIZE])
+    @pytest.mark.parametrize("special", (None,) + SPECIAL_U)
+    def test_matches_cosine_comparison(self, size, special):
+        u = chunk_rng(9, size).random(size)
+        if special is not None:
+            u[0] = special
+        cosines = np.cos(u * (np.pi / 2.0))
+        picked = cosines[np.random.default_rng(size).integers(0, size, 200)]
+        on = np.concatenate([picked, np.cos(np.array(SPECIAL_U) * (np.pi / 2.0))])
+        thresholds = np.concatenate([
+            on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+            [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 1e-10, np.inf],
+        ])
+        expected = [np.count_nonzero(cosines > t) for t in thresholds]
+        assert montecarlo._dihedral_counts(u, thresholds).tolist() == expected
+
+
 class TestWorkers:
     def test_rejects_worker_count_below_one(self):
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10)

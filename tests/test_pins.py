@@ -10,6 +10,7 @@ arithmetic of the error budget, fails here too.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,9 @@ def test_violation_counts_pinned(scheme, m, bound_factor, counts):
     )
     estimates = violation_probability(cfg)
     assert [round(est.p_violation * est.n_samples) for est in estimates] == counts
+    # a one-point grid counts without the grid's sort, sample for sample the same
+    singles = [violation_probability(replace(cfg, mu_grid=(mu,)))[0] for mu in PINNED_MU_GRID]
+    assert [round(est.p_violation * est.n_samples) for est in singles] == counts
 
 
 def test_public_names_resolve():
