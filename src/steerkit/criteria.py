@@ -172,11 +172,6 @@ class Scenario:
             for i, (u, v) in enumerate(zip(alice, bob))
         ]
 
-    def overlaps(self) -> np.ndarray:
-        """Diagonal state-measurement overlaps mu * (u_m . v_m)."""
-        alice, bob = self.settings()
-        return np.array([self.mu * float(np.dot(u, v)) for u, v in zip(alice, bob)])
-
 
 # ---------------------------------------------------------------------------
 # table- / vector-based estimators (the measurement pipeline)

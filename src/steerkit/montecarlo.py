@@ -56,9 +56,11 @@ Determinism
 -----------
 
 The engine consumes samples in fixed-size chunks; chunk ``c`` draws from a
-dedicated Philox stream keyed by ``(seed, c)``, and per-chunk integer counts
-are merged in chunk order.  Results are therefore bit-identical for a given
-seed no matter how many worker threads are used.
+dedicated Philox stream keyed by ``(seed, c)``.  Each chunk's integer counts
+are added to a running sum in chunk order; worker threads keep a bounded
+window of chunks in flight, so memory does not grow with the run.  Integer
+sums are exact, so results are bit-identical for a given seed no matter how
+many worker threads are used.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,28 +89,17 @@ CHUNK_SIZE = 1 << 16
 STREAM_VERSION = 2
 
 #: Most chunks one run may plan: 16,384 chunks are 2**30 (about 1.07e9)
-#: samples.  Their plan and per-chunk results take about 5 MiB on one
-#: worker and 32 MiB on two or more (a pool future per chunk).
+#: samples.
 MAX_CHUNKS = 1 << 14
 MAX_SAMPLES = MAX_CHUNKS * CHUNK_SIZE
 
-#: Most bytes the per-chunk count arrays may hold until the ordered merge:
-#: n_chunks x cells x 8 B, cells being the mu grid times the bound factors,
-#: or the histogram bins.  256 MiB admits a 100,001-point grid over 335
-#: chunks (2.2e7 samples) and a 1001-point grid over every chunk allowed.
-MAX_COUNT_BYTES = 1 << 28
+#: Most bins of the violation-amount histogram; ``np.linspace`` and
+#: ``np.histogram`` allocate every bin.
+MAX_HIST_BINS = 1 << 20
 
-
-def _check_run_size(n_samples: int, n_cells: int, what: str) -> None:
-    """ValueError unless a run of ``n_samples`` keeps its plan and per-chunk counts in bounds."""
-    if n_samples > MAX_SAMPLES:
-        raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {n_samples}")
-    n_chunks = -(-n_samples // CHUNK_SIZE)
-    if n_chunks * n_cells * 8 > MAX_COUNT_BYTES:
-        raise ValueError(
-            f"{n_cells} {what} over {n_chunks} chunks would keep more than "
-            f"{MAX_COUNT_BYTES >> 20} MiB of per-chunk counts"
-        )
+#: Chunks in flight per worker thread: the threaded path holds at most this
+#: many futures and results per thread before it adds the oldest to the sum.
+_CHUNKS_IN_FLIGHT_PER_THREAD = 4
 
 
 def measurement_class(scheme: str) -> str:
@@ -150,7 +142,8 @@ class MCConfig:
         object.__setattr__(self, "mu_grid", mu_grid)
         if self.n_samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
-        _check_run_size(self.n_samples, len(mu_grid), "mu points")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {self.n_samples}")
         _check_bound_factor(self.bound_factor)
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
@@ -258,15 +251,27 @@ def _chunk_plan(n_samples: int):
 
 
 def _map_chunks(task, plan, n_workers: int):
-    """Run ``task`` over the plan in chunk order, on at most one thread per chunk and CPU."""
+    """Sum ``task`` over the plan in chunk order, on at most one thread per chunk and CPU.
+
+    The threaded path keeps a FIFO window of
+    :data:`_CHUNKS_IN_FLIGHT_PER_THREAD` futures per thread; when it is full
+    the oldest result is added before the next chunk is submitted.
+    """
     if n_workers < 1:
         raise ValueError(f"worker count must be >= 1, got {n_workers}")
     n_threads = min(n_workers, len(plan), os.cpu_count() or 1)
     if n_threads <= 1:
-        return [task(c, size) for c, size in plan]
+        return sum(task(c, size) for c, size in plan)
+    total = 0
+    in_flight = deque()
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(task, c, size) for c, size in plan]
-        return [f.result() for f in futures]
+        for c, size in plan:
+            if len(in_flight) == n_threads * _CHUNKS_IN_FLIGHT_PER_THREAD:
+                total += in_flight.popleft().result()
+            in_flight.append(pool.submit(task, c, size))
+        while in_flight:
+            total += in_flight.popleft().result()
+    return total
 
 
 def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
@@ -279,9 +284,11 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     chunk sorts its geometry once and counts every threshold by binary
     search.  With ``hist_edges`` (single-mu grid) the chunk's geometry also
     gives the violation amount mu^m * geometry - factor * T_m, binned over the
-    violating samples.  Per-chunk counts are merged in chunk order.
+    violating samples.  Each chunk returns one integer vector, its cell
+    counts followed by its bin counts, and :func:`_map_chunks` sums the
+    vectors in chunk order through its bounded window.
 
-    Returns ``(estimates, bin_counts)``; ``bin_counts`` is None without edges.
+    Returns ``(estimates, bin_counts)``; ``bin_counts`` is empty without edges.
     """
     m, n_samples = cfg.m, cfg.n_samples
     cells = [(mu, factor) for mu in cfg.mu_grid for factor in factors]
@@ -298,26 +305,24 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     def task(chunk_index, size):
         if angle_count:
             # the uniforms _chunk_geometry draws for dihedral, before the cosine
-            return _dihedral_counts(chunk_rng(cfg.seed, chunk_index).random(size), thresholds), None
+            return _dihedral_counts(chunk_rng(cfg.seed, chunk_index).random(size), thresholds)
         geom = _chunk_geometry(cfg.scheme, m, cfg.seed, chunk_index, size)
         if single:
             counts = np.array([np.count_nonzero(geom > thresholds[0])], dtype=np.intp)
         else:
             counts = size - np.searchsorted(np.sort(geom), thresholds, side="right")
         if hist_edges is None:
-            return counts, None
+            return counts
         amounts = cfg.mu_grid[0] ** m * geom - cfg.bound_factor * DB_VECTOR_THRESHOLD[m]
-        return counts, np.histogram(amounts[amounts > 0.0], bins=hist_edges)[0]
+        return np.concatenate((counts, np.histogram(amounts[amounts > 0.0], bins=hist_edges)[0]))
 
-    results = _map_chunks(task, _chunk_plan(n_samples), n_workers)
-    counts = sum(chunk_counts for chunk_counts, _ in results)
-    bin_counts = None if hist_edges is None else sum(chunk_bins for _, chunk_bins in results)
+    totals = _map_chunks(task, _chunk_plan(n_samples), n_workers)
     estimates = []
-    for (mu, factor), count in zip(cells, counts):
+    for (mu, factor), count in zip(cells, totals):
         p = count / n_samples
         stderr = math.sqrt(p * (1.0 - p) / n_samples)
         estimates.append(MCEstimate(m, cfg.scheme, mu, factor, n_samples, p, stderr))
-    return estimates, bin_counts
+    return estimates, totals[len(cells):]
 
 
 def violation_probability(cfg: MCConfig, n_workers: int = 1, hist_bins: int | None = None):
@@ -342,9 +347,8 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
     """
     if len(cfg.mu_grid) != 1:
         raise ValueError("violation_histogram needs a single-mu configuration")
-    if bins < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
-    _check_run_size(cfg.n_samples, bins, "histogram bins")
+    if not 1 <= bins <= MAX_HIST_BINS:
+        raise ValueError(f"histogram bin count must lie in [1, {MAX_HIST_BINS}], got {bins}")
     mu = cfg.mu_grid[0]
     max_violation = mu ** cfg.m - cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
     if max_violation <= 0.0:
@@ -404,7 +408,6 @@ def raised_bound_table(
     factors = [float(factor) for factor in factors]
     for factor in factors:
         _check_bound_factor(factor)
-    _check_run_size(n_samples, len(factors), "bound factors")
     configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]
     return [_estimate_cells(cfg, factors, n_workers)[0] for cfg in configs]
 

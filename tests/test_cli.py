@@ -261,7 +261,7 @@ class TestMcCommand:
         assert cli.main(base) == 0
         plain = out.read_bytes()
         assert cli.main(base + ["--hist", "1000000000000"]) == 2
-        assert "per-chunk counts" in capsys.readouterr().err
+        assert "histogram bin count must lie in" in capsys.readouterr().err
         assert out.read_bytes() == plain
         assert not (tmp_path / "x.csv.hist.csv").exists()
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -35,6 +36,11 @@ def within_stderr(estimate, target, n_sigma=4.0, floor=1e-4):
     return abs(estimate.p_violation - target) <= max(n_sigma * estimate.stderr, floor)
 
 
+def two_thread_window():
+    """Chunks the threaded engine keeps in flight on two threads."""
+    return 2 * montecarlo._CHUNKS_IN_FLIGHT_PER_THREAD
+
+
 class TestConfigValidation:
     def test_scheme_class_mapping(self):
         assert measurement_class("dihedral") == "rom"
@@ -67,21 +73,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "n_samples, n_mu",
-        [(montecarlo.MAX_SAMPLES + 1, 1), (10 ** 18, 1), (400 * CHUNK_SIZE, cli.MAX_GRID_POINTS)],
+        [(montecarlo.MAX_SAMPLES + 1, 1), (10 ** 18, 1)],
     )
     def test_rejects_oversized_runs_before_planning(self, monkeypatch, n_samples, n_mu):
         # 1e18 samples hung in _chunk_plan; the check runs before any plan exists
         monkeypatch.setattr(montecarlo, "_chunk_plan", None)
-        with pytest.raises(ValueError, match="sample count|per-chunk counts"):
+        with pytest.raises(ValueError, match="sample count"):
             MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,) * n_mu, n_samples=n_samples)
 
     def test_size_caps_admit_the_documented_runs(self):
         # the mc-grid benchmark's 1001-point grid at 1e6 samples, the largest grid
-        # the CLI accepts at the same size, and the largest sample count on one point
+        # the CLI accepts at the same size and at the largest sample count, and the
+        # largest sample count on one point: counts are summed, not kept per chunk
         for n_mu, n_samples in ((1001, 1_000_000), (cli.MAX_GRID_POINTS, 1_000_000),
+                                (cli.MAX_GRID_POINTS, montecarlo.MAX_SAMPLES),
                                 (1, montecarlo.MAX_SAMPLES)):
             MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,) * n_mu, n_samples=n_samples)
-        assert montecarlo.MAX_CHUNKS * 1001 * 8 <= montecarlo.MAX_COUNT_BYTES
 
 
 def assert_orthonormal_rows(vecs):
@@ -363,7 +370,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         plan = [(c, 1) for c in range(n_chunks)]
-        assert _map_chunks(lambda c, size: c, plan, n_workers) == list(range(n_chunks))
+        assert _map_chunks(lambda c, size: c, plan, n_workers) == sum(range(n_chunks))
         assert started == ([] if expected is None else [expected])
 
 
@@ -435,7 +442,7 @@ class TestViolationProbability:
         assert np.isclose(est.stderr, expected, atol=1e-15)
         assert 0.0 <= est.p_violation <= 1.0
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
         cfg = MCConfig(
             m=2,
             scheme="isotropic",
@@ -448,6 +455,33 @@ class TestViolationProbability:
             for w in (1, 2, 8)
         ]
         assert results[0] == results[1] == results[2]
+
+        # twice the two-thread window of chunks plus a partial one: the window refills
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = MCConfig(
+            m=2,
+            scheme="isotropic",
+            mu_grid=(0.8, 0.9, 1.0),
+            n_samples=2 * two_thread_window() * CHUNK_SIZE + 4321,
+            seed=13,
+        )
+        assert violation_probability(cfg, n_workers=1) == violation_probability(cfg, n_workers=2)
+
+    def test_threaded_memory_does_not_grow_with_the_run(self, monkeypatch):
+        # every chunk's counts and future used to be kept until an ordered merge:
+        # 1.6 MiB at 256 chunks, 8.5 MiB at 4,096
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+        def peak(n_chunks):
+            cfg = MCConfig(m=3, scheme="haar", mu_grid=(1.0,), n_samples=n_chunks * CHUNK_SIZE)
+            tracemalloc.start()
+            try:
+                violation_probability(cfg, n_workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) - peak(256) <= 1 << 20
 
     def test_deterministic_rerun(self):
         cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=30_000, seed=14)
@@ -492,14 +526,29 @@ class TestViolationHistogram:
         with pytest.raises(ValueError):
             violation_histogram(cfg)  # max LHS = 0.25 < bound: no attainable violation
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pass_matches_separate_passes(self, monkeypatch, workers):
+        # more chunks than the two-thread window, so the window refills
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        n_samples = (two_thread_window() + 3) * CHUNK_SIZE + 99
+        cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(0.95,), n_samples=n_samples, seed=24)
+        estimates, bin_counts = violation_probability(cfg, n_workers=workers, hist_bins=16)
+        assert estimates == violation_probability(cfg)
+        hist = violation_histogram(cfg, bins=16)
+        reproduced = violation_histogram(cfg, bins=16, bin_counts=bin_counts)
+        assert reproduced.n_violations == hist.n_violations > 0
+        assert np.array_equal(reproduced.bin_edges, hist.bin_edges)
+        assert np.array_equal(reproduced.density, hist.density)
+
     def test_rejects_oversized_bin_count_before_allocating(self):
         # 1e12 bins ended in a MemoryError from np.linspace
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=100, seed=23)
-        with pytest.raises(ValueError, match="per-chunk counts"):
+        with pytest.raises(ValueError, match="bin count"):
             montecarlo.histogram_edges(cfg, 10 ** 12)
-        cap = montecarlo.MAX_COUNT_BYTES // 8
+        cap = montecarlo.MAX_HIST_BINS
         assert len(montecarlo.histogram_edges(cfg, 50)) == 51
-        with pytest.raises(ValueError, match="per-chunk counts"):
+        assert len(montecarlo.histogram_edges(cfg, cap)) == cap + 1
+        with pytest.raises(ValueError, match="bin count"):
             montecarlo.histogram_edges(cfg, cap + 1)
 
 
@@ -534,13 +583,84 @@ class TestRaisedBoundTable:
             {"n_samples": 0},
             {"n_samples": -5},
             {"n_samples": montecarlo.MAX_SAMPLES + 1},
-            {"n_samples": montecarlo.MAX_SAMPLES, "factors": (1.0,) * 2049},
         ],
     )
     def test_rejects_invalid_inputs(self, kwargs):
         # a NaN factor reported p = 0 on every row; zero samples raised TypeError
         with pytest.raises(ValueError):
             raised_bound_table(**{"n_samples": 1000, **kwargs})
+
+
+def assert_probabilities(estimates):
+    for est in estimates:
+        assert 0.0 <= est.p_violation <= 1.0
+        assert math.isfinite(est.stderr)
+
+
+def floats_or(low, high):
+    """Mostly a float from [low, high], ends included; else any float, nan and +-inf too."""
+    return st.floats(low, high) | st.sampled_from([low, high]) | st.floats()
+
+
+#: Small valid runs, out-of-range counts and huge ones (never planned).
+SAMPLE_COUNTS = (
+    st.integers(1, 3000) | st.integers(-3, 0) | st.integers(montecarlo.MAX_SAMPLES + 1, 10 ** 30)
+)
+
+
+class TestEntryPointProperties:
+    """Each entry point raises ValueError or gives finite probabilities in [0, 1]."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        row=st.sampled_from(montecarlo.RAISED_BOUND_ROWS + ((2, "haar"),)),
+        mu_grid=st.lists(floats_or(0.0, 1.0), min_size=1, max_size=3),
+        n_samples=SAMPLE_COUNTS,
+        bound_factor=floats_or(0.1, 3.0),
+        seed=st.integers(-2, 2 ** 64 + 2),
+    )
+    def test_mc_config(self, row, mu_grid, n_samples, bound_factor, seed):
+        try:
+            cfg = MCConfig(*row, tuple(mu_grid), n_samples, bound_factor, seed)
+        except ValueError:
+            return
+        assert_probabilities(violation_probability(cfg, n_workers=2))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        row=st.sampled_from(montecarlo.RAISED_BOUND_ROWS),
+        mu_grid=st.lists(floats_or(0.9, 1.0), min_size=1, max_size=2),
+        n_samples=SAMPLE_COUNTS,
+        bound_factor=floats_or(0.5, 1.5),
+        bins=st.integers(1, 64) | st.integers(-2, 0) | st.integers(montecarlo.MAX_HIST_BINS + 1, 10 ** 15),
+    )
+    def test_histogram_edges(self, row, mu_grid, n_samples, bound_factor, bins):
+        try:
+            cfg = MCConfig(*row, tuple(mu_grid), n_samples, bound_factor)
+            edges = montecarlo.histogram_edges(cfg, bins)
+        except ValueError:
+            return
+        assert len(edges) == bins + 1 and np.all(np.isfinite(edges))
+        estimates, bin_counts = violation_probability(cfg, hist_bins=bins)
+        assert_probabilities(estimates)
+        assert bin_counts.min() >= 0 and bin_counts.sum() <= n_samples
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factors=st.lists(floats_or(0.1, 3.0), max_size=3),
+        mu=floats_or(0.0, 1.0),
+        n_samples=SAMPLE_COUNTS,
+        seed=st.integers(-2, 2 ** 64 + 2),
+    )
+    def test_raised_bound_table(self, factors, mu, n_samples, seed):
+        try:
+            table = raised_bound_table(factors, mu, n_samples, seed)
+        except ValueError:
+            return
+        assert len(table) == len(montecarlo.RAISED_BOUND_ROWS)
+        for row in table:
+            assert_probabilities(row)
+
 
 class TestCsvWriters:
     def test_estimates_csv(self, tmp_path):
