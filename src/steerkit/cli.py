@@ -185,9 +185,10 @@ def _threshold_criterion(args) -> criteria.Criterion:
         return criteria.Criterion("tsallis", q=args.q)
     if args.criterion == "renyi":
         try:
-            return criteria.Criterion.parse(f"renyi({args.rs})")
+            r, s = (criteria.parse_order(text) for text in args.rs.split(","))
         except ValueError:
             raise ValueError(f"--rs must be R,S (inf or oo allowed), got {args.rs!r}") from None
+        return criteria.Criterion("renyi", r=r, s=s)  # its ValueError passes through as is
     return criteria.Criterion(args.criterion)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,34 @@ def db_bound(m: int, d_a: int = 2) -> float:
 DB_SCALE = {m: db_bound(m, 2) / DB_VECTOR_THRESHOLD[m] for m in (2, 3)}
 
 
+#: The order parameters each criterion kind takes.
+_ORDER_NAMES = {"shannon": ("q",), "tsallis": ("q",), "renyi": ("r", "s"), "db": ()}
+
+
+def _check_renyi_orders(r: float, s: float) -> tuple[float, float]:
+    """``(r, s)`` as floats; ValueError unless both are >= 1/2 (inf allowed) and 1/r + 1/s = 2."""
+    r, s = float(r), float(s)
+    if not (r >= 0.5 and s >= 0.5):  # NaN fails too
+        raise ValueError(f"Renyi orders must be >= 1/2, got ({r}, {s})")
+    inv = 1.0 / r + 1.0 / s
+    if abs(inv - 2.0) > 1e-9:
+        raise ValueError(f"Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = {inv}")
+    return r, s
+
+
+def _order_label(**orders) -> str:
+    """The ``order`` column of a result, such as q=2, r=0.5,s=inf or m=3."""
+    return ",".join([f"{name}={value:g}" for name, value in orders.items()])
+
+
 @dataclass(frozen=True)
 class Criterion:
-    """A steering criterion identifier plus its order parameters."""
+    """A steering criterion and its orders, checked here for every caller.
+
+    Tsallis takes a finite q >= 1; q = 1 is ``shannon``, which carries q = 1.
+    Renyi takes r, s >= 1/2 (inf allowed) with 1/r + 1/s = 2, by default
+    (1/2, inf).  ``db`` takes no order.
+    """
 
     kind: str  # shannon | tsallis | renyi | db
     q: float | None = None
@@ -55,31 +81,35 @@ class Criterion:
     s: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("shannon", "tsallis", "renyi", "db"):
-            raise ValueError(f"unknown criterion {self.kind!r}")
-        if self.kind == "tsallis" and not (
-            self.q is not None and math.isfinite(self.q) and self.q >= 1.0
-        ):
-            raise ValueError(f"tsallis criterion needs a finite order q >= 1, got {self.q}")
-        if self.kind == "renyi":
+        kind, q = self.kind, self.q
+        if kind not in _ORDER_NAMES:
+            raise ValueError(f"unknown criterion {kind!r}")
+        for name in ("q", "r", "s"):
+            if getattr(self, name) is not None and name not in _ORDER_NAMES[kind]:
+                raise ValueError(f"the {kind} criterion takes no order {name}")
+        if kind == "renyi":
             r = 0.5 if self.r is None else self.r
-            s = math.inf if self.s is None else self.s
-            object.__setattr__(self, "r", float(r))
-            object.__setattr__(self, "s", float(s))
+            r, s = _check_renyi_orders(r, math.inf if self.s is None else self.s)
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "s", s)
+        elif kind != "db":
+            if kind == "shannon" and q not in (None, 1.0):
+                raise ValueError(f"the shannon criterion is Tsallis order q = 1, got q = {q}")
+            q = 1.0 if kind == "shannon" else q
+            if not (q is not None and math.isfinite(q) and q >= 1.0):
+                raise ValueError(f"tsallis criterion needs a finite order q >= 1, got {q}")
+            object.__setattr__(self, "kind", "shannon" if q == 1.0 else "tsallis")
+            object.__setattr__(self, "q", float(q))
 
     @classmethod
     def parse(cls, token: str) -> "Criterion":
         """Parse a CLI token: shannon, tsallisQ, renyi, renyi(R,S) or db."""
         token = token.strip()
-        if token == "shannon":
-            return cls("shannon")
-        if token == "db":
-            return cls("db")
-        if token == "renyi":
-            return cls("renyi", r=0.5, s=math.inf)
+        if token in ("shannon", "renyi", "db"):
+            return cls(token)
         match = re.fullmatch(r"renyi\(([^,]+),([^)]+)\)", token)
         if match:
-            return cls("renyi", r=_parse_order(match.group(1)), s=_parse_order(match.group(2)))
+            return cls("renyi", r=parse_order(match.group(1)), s=parse_order(match.group(2)))
         match = re.fullmatch(r"tsallis([0-9.]+)", token)
         if match:
             return cls("tsallis", q=float(match.group(1)))
@@ -88,24 +118,18 @@ class Criterion:
         )
 
     def order_label(self, m: int | None = None) -> str:
-        if self.kind == "shannon":
-            return "q=1"
-        if self.kind == "tsallis":
-            return f"q={self.q:g}"
-        if self.kind == "renyi":
-            return f"r={_fmt_order(self.r)},s={_fmt_order(self.s)}"
-        return f"m={m}" if m is not None else ""
+        """The ``order`` of this criterion's results; ``db`` is labelled by the settings count."""
+        if self.kind == "db":
+            return "" if m is None else _order_label(m=m)
+        return _order_label(**{name: getattr(self, name) for name in _ORDER_NAMES[self.kind]})
 
 
-def _parse_order(text: str) -> float:
+def parse_order(text: str) -> float:
+    """An entropy order: a number, or inf / infinity / oo."""
     text = text.strip()
     if text in ("inf", "infinity", "oo"):
         return math.inf
     return float(text)
-
-
-def _fmt_order(x: float) -> str:
-    return "inf" if x == math.inf else f"{x:g}"
 
 
 @dataclass(frozen=True)
@@ -115,11 +139,17 @@ class SteeringResult:
     criterion: str
     order: str
     value: float
-    bound: float = 0.0
 
     @property
     def steerable(self) -> bool:
-        return self.value > self.bound
+        return self.value > 0.0
+
+
+def _check_angles(alpha_deg: float, phi_deg: float) -> None:
+    if not (math.isfinite(alpha_deg) and math.isfinite(phi_deg)):
+        raise ValueError(
+            f"misalignment angles must be finite, got alpha = {alpha_deg}, phi = {phi_deg}"
+        )
 
 
 @dataclass(frozen=True)
@@ -137,11 +167,7 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mixing probability must lie in [0, 1], got {self.mu}")
-        if not (math.isfinite(self.alpha_deg) and math.isfinite(self.phi_deg)):
-            raise ValueError(
-                f"misalignment angles must be finite, got alpha = {self.alpha_deg}, "
-                f"phi = {self.phi_deg}"
-            )
+        _check_angles(self.alpha_deg, self.phi_deg)
         if self.m not in (2, 3):
             raise ValueError(f"settings count must be 2 or 3, got {self.m}")
         if self.mode not in ("mub", "nom", "explicit"):
@@ -167,10 +193,7 @@ class Scenario:
     def tables(self):
         """Per-setting Werner joint tables (closed-form Born rule)."""
         alice, bob = self.settings()
-        return [
-            qcore.joint_table_closed(self.mu, u, v, setting=i + 1)
-            for i, (u, v) in enumerate(zip(alice, bob))
-        ]
+        return [qcore.joint_table_closed(self.mu, u, v) for u, v in zip(alice, bob)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +201,16 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def tsallis_steering(tables, q: float, bound: float | None = None) -> SteeringResult:
-    """Tsallis steering parameter: bound minus summed conditional terms.
+def tsallis_steering(tables, q: float) -> SteeringResult:
+    """Tsallis steering parameter: uncertainty bound minus summed conditional terms.
 
-    ``bound`` defaults to the built-in uncertainty bound for len(tables)
-    settings; pass an explicit value for other measurement sets.  ``q = 1``
-    gives the Shannon criterion.
+    The bound is the built-in one for len(tables) orthogonal settings (2 or
+    3).  ``q = 1`` gives the Shannon criterion.
     """
     tables = list(tables)
-    if bound is None:
-        bound = ent.eur_bound_tsallis(q, m=len(tables))
-    value = float(bound) - sum(ent.tsallis_directed_term(t, q) for t in tables)
-    criterion = "shannon" if q == 1.0 else "tsallis"
-    order = "q=1" if q == 1.0 else f"q={q:g}"
-    return SteeringResult(criterion, order, value)
+    bound = ent.eur_bound_tsallis(q, m=len(tables))
+    value = bound - sum(ent.tsallis_directed_term(t, q) for t in tables)
+    return SteeringResult("shannon" if q == 1.0 else "tsallis", _order_label(q=q), value)
 
 
 def renyi_steering(tables, r: float, s: float) -> SteeringResult:
@@ -204,19 +223,13 @@ def renyi_steering(tables, r: float, s: float) -> SteeringResult:
     tables = list(tables)
     if len(tables) != 2:
         raise ValueError(f"the Renyi criterion needs exactly two settings, got {len(tables)}")
-    r, s = float(r), float(s)
-    for order in (r, s):
-        if order != math.inf and order < 0.5:
-            raise ValueError(f"Renyi orders must be >= 1/2, got ({r}, {s})")
-    inv = (0.0 if r == math.inf else 1.0 / r) + (0.0 if s == math.inf else 1.0 / s)
-    if abs(inv - 2.0) > 1e-9:
-        raise ValueError(f"Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = {inv}")
+    r, s = _check_renyi_orders(r, s)
     value = (
         ent.eur_bound_renyi2()
         - ent.arimoto_conditional_renyi(tables[0], r)
         - ent.arimoto_conditional_renyi(tables[1], s)
     )
-    return SteeringResult("renyi", f"r={_fmt_order(r)},s={_fmt_order(s)}", value)
+    return SteeringResult("renyi", _order_label(r=r, s=s), value)
 
 
 def db_lhs(alice, bob, mu: float) -> float:
@@ -242,34 +255,29 @@ def db_lhs(alice, bob, mu: float) -> float:
     raise ValueError(f"vector-form criterion supports m = 2 or 3, got {m}")
 
 
-def db_steering(alice, bob, mu: float, m: int | None = None) -> SteeringResult:
-    """Normalised dimension-bounded parameter |det D| - db_bound(m, 2).
+def db_steering(alice, bob, mu: float) -> SteeringResult:
+    """Normalised dimension-bounded parameter |det D| - db_bound(m, 2), m = len(alice).
 
     |det D| equals ``DB_SCALE[m] * db_lhs``; the scale factor preserves the
     zero crossing of the vector-form inequality.
     """
     alice = list(alice)
-    if m is None:
-        m = len(alice)
+    m = len(alice)
     if m not in (2, 3):
         raise ValueError(f"settings count must be 2 or 3, got {m}")
-    if len(alice) != m:
-        raise ValueError(f"got {len(alice)} Alice vectors for m = {m}")
     value = DB_SCALE[m] * db_lhs(alice, bob, mu) - db_bound(m, 2)
-    return SteeringResult("db", f"m={m}", value)
+    return SteeringResult("db", _order_label(m=m), value)
 
 
 def evaluate(scenario: Scenario, criterion: Criterion) -> SteeringResult:
     """Evaluate a criterion on a scenario through the measurement pipeline."""
     if criterion.kind == "db":
         alice, bob = scenario.settings()
-        return db_steering(alice, bob, scenario.mu, scenario.m)
+        return db_steering(alice, bob, scenario.mu)
     tables = scenario.tables()
-    if criterion.kind == "shannon":
-        return tsallis_steering(tables, 1.0)
-    if criterion.kind == "tsallis":
-        return tsallis_steering(tables, criterion.q)
-    return renyi_steering(tables, criterion.r, criterion.s)
+    if criterion.kind == "renyi":
+        return renyi_steering(tables, criterion.r, criterion.s)
+    return tsallis_steering(tables, criterion.q)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +304,12 @@ def _renyi_term(order: float, x: float) -> float:
         return _binary_shannon((1.0 + x) / 2.0)
     if order == math.inf:
         return math.log(2.0) - math.log(1.0 + abs(x))
-    return math.log(_f(order, x)) / (1.0 - order)
+    f = _f(order, x)
+    if f >= sys.float_info.min:
+        return math.log(f) / (1.0 - order)
+    # p^order underflows (order in the thousands): factor out the larger p
+    big, small = (1.0 + abs(x)) / 2.0, (1.0 - abs(x)) / 2.0
+    return (order * math.log(big) + math.log1p((small / big) ** order)) / (1.0 - order)
 
 
 def closed_form(scenario: Scenario, criterion: Criterion) -> float:
@@ -321,31 +334,11 @@ def closed_form(scenario: Scenario, criterion: Criterion) -> float:
             return (math.sqrt(3.0) * mu ** 2 - 1.0) / (8.0 * math.sqrt(2.0))
         return (mu ** 3 / math.sqrt(6.0) - 1.0 / 9.0) / 12.0
 
-    if scenario.mode == "mub":
-        if m == 2:
-            overlaps = [mu * math.cos(alpha), mu * math.cos(phi) * math.cos(alpha)]
-        else:
-            overlaps = [
-                mu * math.cos(alpha),
-                mu * math.cos(phi),
-                mu * math.cos(phi) * math.cos(alpha),
-            ]
+    if scenario.mode == "mub":  # the middle overlap only for three settings
+        overlaps = [mu * math.cos(alpha), mu * math.cos(phi), mu * math.cos(phi) * math.cos(alpha)]
+        overlaps = overlaps if m == 3 else overlaps[::2]
     else:
-        if m == 2:
-            overlaps = [mu, math.sqrt(3.0) / 2.0 * mu]
-        else:
-            overlaps = [mu, math.sqrt(3.0) / 2.0 * mu, math.sqrt(2.0 / 3.0) * mu]
-
-    if criterion.kind in ("shannon", "tsallis"):
-        q = 1.0 if criterion.kind == "shannon" else criterion.q
-        if q == 1.0:
-            return (m - 1) * math.log(2.0) - sum(
-                _binary_shannon((1.0 + x) / 2.0) for x in overlaps
-            )
-        # = (1/(1-q)) [1 + 2^(1-q) - sum f_q] for m=2, [1 + 2^(2-q) - sum f_q] for m=3
-        return ((m - 1) * (2.0 ** (1.0 - q) - 1.0) + m - sum(_f(q, x) for x in overlaps)) / (
-            1.0 - q
-        )
+        overlaps = [mu, math.sqrt(3.0) / 2.0 * mu, math.sqrt(2.0 / 3.0) * mu][:m]
 
     if criterion.kind == "renyi":
         if m != 2:
@@ -356,7 +349,11 @@ def closed_form(scenario: Scenario, criterion: Criterion) -> float:
             - _renyi_term(criterion.s, overlaps[1])
         )
 
-    raise ValueError(f"unsupported criterion {criterion.kind!r}")
+    q = criterion.q
+    if q == 1.0:
+        return (m - 1) * math.log(2.0) - sum(_binary_shannon((1.0 + x) / 2.0) for x in overlaps)
+    # = (1/(1-q)) [1 + 2^(1-q) - sum f_q] for m=2, [1 + 2^(2-q) - sum f_q] for m=3
+    return ((m - 1) * (2.0 ** (1.0 - q) - 1.0) + m - sum(_f(q, x) for x in overlaps)) / (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +366,10 @@ def critical_mu(alpha_deg: float, phi_deg: float) -> float:
 
     Above this value both the q=2 Tsallis and the (1/2, inf) Renyi
     two-setting criteria turn positive.  A result above 1 means the state is
-    undetectable at any physical visibility.  Requires cos(alpha) > 0.
+    undetectable at any physical visibility.  Requires finite angles and
+    cos(alpha) > 0.
     """
+    _check_angles(alpha_deg, phi_deg)
     cos_a = math.cos(math.radians(alpha_deg))
     if cos_a <= 1e-12:
         raise ValueError(f"critical visibility needs cos(alpha) > 0, got alpha = {alpha_deg} deg")
@@ -378,18 +377,19 @@ def critical_mu(alpha_deg: float, phi_deg: float) -> float:
     return 1.0 / (cos_a * math.sqrt(1.0 + cos_p ** 2))
 
 
+#: Bisection steps of :func:`critical_alpha`; 90 / 2**60 is below one ulp of 90.
+BISECTION_STEPS = 60
+
+
 def critical_alpha(
-    criterion: Criterion,
-    mu: float,
-    phi_deg: float = 0.0,
-    m: int = 2,
-    iterations: int = 60,
+    criterion: Criterion, mu: float, phi_deg: float = 0.0, m: int = 2
 ) -> float | None:
     """In-plane misalignment at which a closed-form criterion crosses zero.
 
-    Bisection on alpha in [0, 90] degrees; returns ``None`` when the value
-    does not change sign on that interval (criterion everywhere positive,
-    everywhere non-positive, or independent of alpha).
+    Bisection on alpha in [0, 90] degrees (:data:`BISECTION_STEPS` halvings);
+    returns ``None`` when the value does not change sign on that interval
+    (criterion everywhere positive, everywhere non-positive, or independent
+    of alpha).
     """
 
     def value(alpha_deg: float) -> float:
@@ -401,7 +401,7 @@ def critical_alpha(
     f_lo, f_hi = value(lo), value(hi)
     if not (f_lo > 0.0 > f_hi):
         return None
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if value(mid) > 0.0:
             lo = mid
@@ -429,22 +429,12 @@ def sweep(mu: float, alpha_grid, phi_deg: float, m: int, criteria, mode: str = "
     in deterministic order.
     """
     rows = []
-    for alpha_deg in alpha_grid:
-        scenario = Scenario(mu=mu, alpha_deg=float(alpha_deg), phi_deg=phi_deg, m=m, mode=mode)
+    for alpha_deg in map(float, alpha_grid):
+        scenario = Scenario(mu=mu, alpha_deg=alpha_deg, phi_deg=phi_deg, m=m, mode=mode)
         for criterion in criteria:
-            result = evaluate(scenario, criterion)
-            rows.append(
-                SweepRow(
-                    mu=mu,
-                    alpha_deg=float(alpha_deg),
-                    phi_deg=phi_deg,
-                    m=m,
-                    criterion=result.criterion,
-                    order=result.order,
-                    value=result.value,
-                    steerable=result.steerable,
-                )
-            )
+            res = evaluate(scenario, criterion)
+            rows.append(SweepRow(mu, alpha_deg, phi_deg, m, res.criterion, res.order, res.value,
+                                 res.steerable))
     return rows
 
 

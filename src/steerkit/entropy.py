@@ -128,15 +128,13 @@ def arimoto_conditional_renyi(table: JointTable, r: float) -> float:
     return float(r / (1.0 - r) * np.log(row_norms.sum()))
 
 
-def eur_bound_tsallis(q: float, m: int | None = None, override: float | None = None) -> float:
+def eur_bound_tsallis(q: float, m: int) -> float:
     """Tsallis entropic-uncertainty bound for m orthogonal qubit measurements.
 
-    Returns ln_q(2) for two settings and 2 ln_q(2) for three.  Other
-    measurement sets need a caller-supplied ``override`` bound.
+    Returns ln_q(2) for two settings and 2 ln_q(2) for three; other settings
+    counts have no built-in bound and raise ``ValueError``.
     """
     q = _check_tsallis_order(q)
-    if override is not None:
-        return float(override)
     if m not in (2, 3):
         raise ValueError(f"no built-in bound for {m} settings; built-in bounds cover 2 or 3 settings")
     return (m - 1) * q_log(2.0, q)

@@ -228,7 +228,7 @@ def write_counts(records, path) -> None:
 
 def counts_to_table(record: CountsRecord) -> JointTable:
     """Maximum-likelihood joint table p = n / sum(n)."""
-    return JointTable(record.counts / record.total, setting=record.setting)
+    return JointTable(record.counts / record.total)
 
 
 def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[CountsRecord]:
@@ -282,11 +282,9 @@ def _least_squares_visibility(tables, overlaps) -> float:
 def _evaluate_criterion(criterion: Criterion, tables, alice, bob, mu) -> SteeringResult:
     if criterion.kind == "db":
         return db_steering(alice, bob, mu)
-    if criterion.kind == "shannon":
-        return tsallis_steering(tables, 1.0)
-    if criterion.kind == "tsallis":
-        return tsallis_steering(tables, criterion.q)
-    return renyi_steering(tables, criterion.r, criterion.s)
+    if criterion.kind == "renyi":
+        return renyi_steering(tables, criterion.r, criterion.s)
+    return tsallis_steering(tables, criterion.q)
 
 
 def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
@@ -370,10 +368,7 @@ def evaluate_with_errors(
             totals = rep.sum(axis=(1, 2))
             if np.any(totals == 0):
                 continue  # unnormalisable replicate; only possible at tiny counts
-            rep_tables = [
-                JointTable(cells / total, setting=rec.setting)
-                for rec, cells, total in zip(records, rep, totals)
-            ]
+            rep_tables = [JointTable(cells / total) for cells, total in zip(rep, totals)]
             # unclipped: clamping pins replicates fitted above 1 to exactly 1
             # and collapses the spread of the determinant value
             rep_mu = _least_squares_visibility(rep_tables, overlaps) if needs_fit else None
@@ -386,10 +381,7 @@ def evaluate_with_errors(
         values = np.empty((len(criteria), bootstrap))
         for i in range(bootstrap):
             jittered = [_jittered_vector(v, sigma, rng) for v in bob]
-            model_tables = [
-                qcore.joint_table_closed(mu_fit, u, v, setting=k + 1)
-                for k, (u, v) in enumerate(zip(alice, jittered))
-            ]
+            model_tables = [qcore.joint_table_closed(mu_fit, u, v) for u, v in zip(alice, jittered)]
             values[:, i] = [res.value for res in evaluate(model_tables, jittered, mu_fit)]
         sys_errors = _spread(values)
 
@@ -401,17 +393,9 @@ def evaluate_with_errors(
 
 def results_to_json_records(evaluated) -> list[dict]:
     """JSON-serialisable records {criterion, order, value, stat_err, sys_err, ...}."""
-    out = []
-    for result, budget in evaluated:
-        out.append(
-            {
-                "criterion": result.criterion,
-                "order": result.order,
-                "value": result.value,
-                "stat_err": budget.stat,
-                "sys_err": budget.sys,
-                "total_err": budget.total,
-                "steerable": result.steerable,
-            }
-        )
-    return out
+    return [
+        {"criterion": result.criterion, "order": result.order, "value": result.value,
+         "stat_err": budget.stat, "sys_err": budget.sys, "total_err": budget.total,
+         "steerable": result.steerable}
+        for result, budget in evaluated
+    ]

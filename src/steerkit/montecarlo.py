@@ -67,7 +67,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,6 +113,13 @@ def measurement_class(scheme: str) -> str:
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; ValueError for a bool or a non-integer type (numpy ints pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_bound_factor(factor: float) -> None:
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"bound factor must be positive and finite, got {factor}")
@@ -140,13 +149,17 @@ class MCConfig:
             if not 0.0 <= mu <= 1.0:
                 raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
         object.__setattr__(self, "mu_grid", mu_grid)
-        if self.n_samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
-        if self.n_samples > MAX_SAMPLES:
-            raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {self.n_samples}")
+        n_samples = _as_int("sample count", self.n_samples)
+        if n_samples < 1:
+            raise ValueError(f"sample count must be >= 1, got {n_samples}")
+        if n_samples > MAX_SAMPLES:
+            raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {n_samples}")
         _check_bound_factor(self.bound_factor)
-        if not 0 <= int(self.seed) < 2 ** 64:
+        seed = _as_int("seed", self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -343,7 +356,8 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
     """Bin edges of the violation-amount histogram; ValueError if it cannot be made.
 
     Requires a single-mu configuration.  Bins are uniform over the attainable
-    violation range (0, mu^m - factor * T_m].
+    violation range (0, mu^m - factor * T_m], each at least the smallest
+    normal double wide so that densities (at most 1 / width) stay finite.
     """
     if len(cfg.mu_grid) != 1:
         raise ValueError("violation_histogram needs a single-mu configuration")
@@ -355,6 +369,8 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
         raise ValueError(
             f"no attainable violation at mu = {mu} with bound factor {cfg.bound_factor}"
         )
+    if not max_violation / bins >= sys.float_info.min:
+        raise ValueError(f"violation range {max_violation} is too narrow for {bins} bins")
     return np.linspace(0.0, max_violation, bins + 1)
 
 

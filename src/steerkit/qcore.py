@@ -13,11 +13,12 @@ With these choices the singlet correlation law is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 ATOL = 1e-12
+EIG_ATOL = 1e-10  # most negative eigenvalue a density matrix may have
 
 OUTCOMES = (1, -1)
 
@@ -34,13 +35,13 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-def as_unit_vector(v, atol: float = 1e-12) -> np.ndarray:
+def as_unit_vector(v) -> np.ndarray:
     """Return ``v`` as a float array, rejecting non-unit-norm vectors."""
     vec = np.asarray(v, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {vec.shape}")
     norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= atol:  # NaN-safe
+    if not abs(norm - 1.0) <= ATOL:  # NaN-safe
         raise ValueError(f"measurement direction must be unit norm, got |v| = {norm}")
     return vec
 
@@ -54,17 +55,17 @@ def werner_state(mu: float) -> np.ndarray:
     return mu * singlet + (1.0 - mu) / 4.0 * np.eye(4, dtype=complex)
 
 
-def validate_density_matrix(rho, atol: float = 1e-12, eig_atol: float = 1e-10) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix."""
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.conj().T, atol=atol, rtol=0.0):
+    if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > atol:
+    if abs(np.trace(mat).real - 1.0) > ATOL:
         raise ValueError(f"density matrix trace is {np.trace(mat).real}, expected 1")
     eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -eig_atol:
+    if eigs.min() < -EIG_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
     return mat
 
@@ -86,7 +87,6 @@ class JointTable:
     """
 
     probs: np.ndarray
-    setting: int | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -124,7 +124,7 @@ class JointTable:
         return float((signs * self.probs).sum())
 
 
-def joint_table_trace(rho, a_vec, b_vec, setting: int | None = None) -> JointTable:
+def joint_table_trace(rho, a_vec, b_vec) -> JointTable:
     """Joint table via the Born rule, p(a, b) = tr[(P_a (x) P_b) rho]."""
     mat = validate_density_matrix(rho)
     probs = np.empty((2, 2))
@@ -133,10 +133,10 @@ def joint_table_trace(rho, a_vec, b_vec, setting: int | None = None) -> JointTab
         for j, b in enumerate(OUTCOMES):
             proj_b = bloch_projector(b_vec, b)
             probs[i, j] = np.real(np.trace(np.kron(proj_a, proj_b) @ mat))
-    return JointTable(probs, setting=setting)
+    return JointTable(probs)
 
 
-def joint_table_closed(mu: float, a_vec, b_vec, setting: int | None = None) -> JointTable:
+def joint_table_closed(mu: float, a_vec, b_vec) -> JointTable:
     """Werner-state joint table in closed form, p(a, b) = (1 - a b mu u.v)/4."""
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
@@ -146,7 +146,7 @@ def joint_table_closed(mu: float, a_vec, b_vec, setting: int | None = None) -> J
     for i, a in enumerate(OUTCOMES):
         for j, b in enumerate(OUTCOMES):
             probs[i, j] = (1.0 - a * b * mu * overlap) / 4.0
-    return JointTable(probs, setting=setting)
+    return JointTable(probs)
 
 
 def mub_settings(m: int, alpha_deg: float = 0.0, phi_deg: float = 0.0):

@@ -337,6 +337,15 @@ class TestThresholdCommand:
         assert sweep.returncode == 0
         assert run_cli(*base, "--rs", "0.5").returncode == 2
 
+    def test_tsallis_order_one_reports_shannon(self, capsys):
+        base = ["threshold", "--mu", "0.9733", "--phi", "30"]
+        assert cli.main([*base, "--criterion", "tsallis", "--q", "1"]) == 0
+        tsallis_one = capsys.readouterr().out
+        assert cli.main([*base, "--criterion", "shannon"]) == 0
+        assert tsallis_one == capsys.readouterr().out
+        payload = json.loads(tsallis_one)
+        assert (payload["criterion"], payload["order"]) == ("shannon", "q=1")
+
     def test_nan_tsallis_order_is_usage_error(self):
         result = run_cli("threshold", "--criterion", "tsallis", "--q", "nan", "--mu", "0.9733")
         assert result.returncode == 2
@@ -483,6 +492,13 @@ def four_setting_counts(path):
          "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
         (["analyze", "--input", "M4_COUNTS", "--criteria", "tsallis2", "--bootstrap", "10"],
          "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
+        # these three printed an angle or null and exited 0
+        (["threshold", "--criterion", "renyi", "--rs", "2,2", "--mu", "0.9733"],
+         "Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = 1.0"),
+        (["threshold", "--criterion", "renyi", "--rs", "0.3,inf", "--mu", "0.9733"],
+         "Renyi orders must be >= 1/2, got (0.3, inf)"),
+        (["threshold", "--criterion", "renyi", "--rs", "nan,1", "--mu", "0.9733"],
+         "Renyi orders must be >= 1/2, got (nan, 1.0)"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):

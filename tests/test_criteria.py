@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerkit import qcore
 from steerkit.criteria import (
@@ -75,12 +77,108 @@ class TestCriterionParsing:
             Criterion("tsallis", q=q)
 
 
+class TestCriterionValidation:
+    @pytest.mark.parametrize(
+        "kind, orders",
+        [
+            ("renyi", dict(r=2.0, s=2.0)),  # 1/r + 1/s = 1
+            ("renyi", dict(r=0.3, s=INF)),  # r < 1/2
+            ("renyi", dict(r=math.nan, s=1.0)),  # NaN passed the old "r < 1/2" test
+            ("renyi", dict(r=-INF, s=0.5)),
+            ("renyi", dict(r=1.0, s=1.0, q=2.0)),
+            ("shannon", dict(q=5.0)),
+            ("shannon", dict(q=math.nan)),
+            ("tsallis", dict(q=2.0, r=0.5)),
+            ("db", dict(r=1.0)),
+            ("db", dict(q=2.0)),
+        ],
+    )
+    def test_invalid_orders_rejected(self, kind, orders):
+        with pytest.raises(ValueError):
+            Criterion(kind, **orders)
+
+    def test_tsallis_order_one_is_shannon(self):
+        crit = Criterion("tsallis", q=1)
+        assert crit == Criterion("shannon") == Criterion("shannon", q=1.0)
+        assert crit == Criterion.parse("tsallis1") == Criterion.parse("shannon")
+        assert (crit.kind, crit.q, crit.order_label()) == ("shannon", 1.0, "q=1")
+
+    def test_order_labels_match_the_estimators(self):
+        tables = mub_tables(0.9, 2, alpha=10.0)
+        alice, bob = qcore.mub_settings(2, 10.0)
+        cases = [
+            (Criterion("shannon"), tsallis_steering(tables, 1.0)),
+            (Criterion("tsallis", q=2.5), tsallis_steering(tables, 2.5)),
+            (Criterion.parse("renyi"), renyi_steering(tables, 0.5, INF)),
+            (Criterion.parse("renyi(0.75,1.5)"), renyi_steering(tables, 0.75, 1.5)),
+            (Criterion("db"), db_steering(alice, bob, 0.9)),
+        ]
+        for crit, result in cases:
+            assert (crit.kind, crit.order_label(2)) == (result.criterion, result.order)
+        assert [c.order_label(2) for c, _ in cases] == ["q=1", "q=2.5", "r=0.5,s=inf",
+                                                        "r=0.75,s=1.5", "m=2"]
+        assert Criterion("db").order_label() == ""
+
+
+def conjugate(r):
+    """The order s with 1/r + 1/s = 2 (any float in, no exception)."""
+    if r == INF:
+        return 0.5
+    return INF if r == 0.5 else r / (2.0 * r - 1.0)
+
+
+#: Orders: mostly valid ones, then the edges, then any float (NaN and +-inf too).
+#: Renyi r just above 1/2 pairs with s above 2500, where p**s underflows.
+ORDERS = (
+    st.floats(0.5, 50.0)
+    | st.floats(0.5, 0.5001)
+    | st.sampled_from((0.5, 1.0, 2.0, 0.49, 0.0, -1.0, INF, -INF, math.nan))
+    | st.floats()
+)
+
+
+@st.composite
+def criterion_args(draw):
+    """A kind with its own orders (Renyi pairs often conjugate), sometimes one stray order."""
+    kind = draw(st.sampled_from(("shannon", "tsallis", "renyi", "db")))
+    orders = {}
+    if kind in ("shannon", "tsallis"):
+        orders["q"] = draw(st.none() | ORDERS)
+    elif kind == "renyi":
+        r = draw(st.none() | ORDERS)
+        partner = st.none() if r is None else st.just(conjugate(r))
+        orders.update(r=r, s=draw(partner | ORDERS))
+    stray = draw(st.none() | st.sampled_from(("q", "r", "s")))
+    if stray is not None:
+        orders[stray] = draw(ORDERS)
+    return kind, orders
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    args=criterion_args(),
+    mu=st.floats(0.0, 1.0),
+    phi=st.floats(-360.0, 360.0),
+    alpha=st.floats(-360.0, 360.0),
+    m=st.sampled_from((2, 3)),
+)
+def test_criterion_rejected_or_closed_form_finite(args, mu, phi, alpha, m):
+    kind, orders = args
+    try:
+        crit = Criterion(kind, **orders)
+    except ValueError:
+        return
+    m = 2 if crit.kind == "renyi" else m
+    assert math.isfinite(closed_form(Scenario(mu=mu, alpha_deg=alpha, phi_deg=phi, m=m), crit))
+    root = critical_alpha(crit, mu, phi, m)
+    assert root is None or 0.0 <= root <= 90.0
+
+
 class TestTsallisSteering:
     def test_aligned_singlet_q2(self):
         result = tsallis_steering(mub_tables(1.0, 2), 2.0)
         assert np.isclose(result.value, 0.5, atol=1e-12)
         assert result.steerable
-        assert result.bound == 0.0
 
     def test_white_noise_negative(self):
         result = tsallis_steering(mub_tables(0.0, 2), 2.0)
@@ -92,12 +190,6 @@ class TestTsallisSteering:
         result = tsallis_steering(nom_tables(0.963, 2), 2.0)
         assert np.isclose(result.value, 0.3114478750, atol=1e-9)
         assert np.isclose(result.value, 0.311, atol=1e-3)
-
-    def test_override_bound(self):
-        tables = mub_tables(1.0, 2)
-        shifted = tsallis_steering(tables, 2.0, bound=0.7)
-        baseline = tsallis_steering(tables, 2.0)
-        assert np.isclose(shifted.value - baseline.value, 0.2, atol=1e-12)
 
     def test_shannon_labelling(self):
         result = tsallis_steering(mub_tables(1.0, 2), 1.0)
@@ -188,9 +280,10 @@ class TestDeterminantCriterion:
         assert np.isclose(result.value, 0.021, atol=1e-3)
 
     def test_bad_settings_count_rejected(self):
+        # four settings: the first two repeated
         alice, bob = qcore.mub_settings(2)
-        with pytest.raises(ValueError):
-            db_steering(alice, bob, 1.0, m=4)
+        with pytest.raises(ValueError, match="settings count must be 2 or 3, got 4"):
+            db_steering([*alice, *alice], [*bob, *bob], 1.0)
 
     def test_triad_rotation_invariance(self):
         rng = np.random.default_rng(100)
@@ -340,6 +433,21 @@ class TestCriticalSolvers:
     def test_critical_mu_requires_positive_cosine(self):
         with pytest.raises(ValueError):
             critical_mu(90.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, phi", [(math.nan, 0.0), (0.0, INF), (-INF, 0.0), (0.0, math.nan)])
+    def test_critical_mu_rejects_non_finite_angles(self, alpha, phi):
+        # critical_mu(nan, 0) returned nan; critical_mu(0, inf) raised "math domain error"
+        with pytest.raises(ValueError, match="misalignment angles must be finite"):
+            critical_mu(alpha, phi)
+
+    def test_closed_form_at_a_huge_renyi_order(self):
+        # r just above 1/2 pairs with s = 2.3e15: f_s underflowed to 0 and
+        # math.log(0) raised; the value tends to that of (1/2, inf)
+        r = 0.5 + 2.0 ** -52
+        crit = Criterion("renyi", r=r, s=conjugate(r))
+        scen = Scenario(mu=0.9, alpha_deg=10.0)
+        assert crit.s > 1e15
+        assert abs(closed_form(scen, crit) - closed_form(scen, Criterion("renyi"))) < 1e-12
 
     def test_critical_alpha_singlet_is_45(self):
         alpha = critical_alpha(Criterion("tsallis", q=2.0), 1.0, 0.0, 2)

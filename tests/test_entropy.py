@@ -171,9 +171,6 @@ class TestBounds:
         assert np.isclose(eur_bound_tsallis(2.0, 2), 0.5, atol=1e-15)
         assert np.isclose(eur_bound_tsallis(2.0, 3), 1.0, atol=1e-15)
 
-    def test_override_accepted(self):
-        assert eur_bound_tsallis(2.0, m=5, override=1.23) == 1.23
-
     def test_unknown_m_rejected(self):
         with pytest.raises(ValueError):
             eur_bound_tsallis(2.0, 4)

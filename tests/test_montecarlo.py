@@ -65,6 +65,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MCConfig(**{**good, "bound_factor": 0.0})
 
+    @pytest.mark.parametrize("n_samples", [math.nan, 2.5, 10.0, True, "10", None])
+    def test_rejects_non_integer_sample_count(self, n_samples):
+        # NaN and 2.5 passed the range checks and raised TypeError in _chunk_plan
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=n_samples)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, 1.0, False, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        # seed=1.5 ran silently as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MCConfig(m=2, scheme="dihedral", mu_grid=(1.0,), n_samples=10, seed=seed)
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        cfg = MCConfig(m=2, scheme="haar", mu_grid=(0.9,), n_samples=np.int64(3000),
+                       seed=np.uint64(7))
+        assert type(cfg.n_samples) is int and type(cfg.seed) is int
+        plain = MCConfig(m=2, scheme="haar", mu_grid=(0.9,), n_samples=3000, seed=7)
+        assert violation_probability(cfg) == violation_probability(plain)
+
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_bound_factor(self, factor):
         # a NaN threshold compares False everywhere and would report p = 0
@@ -539,6 +558,20 @@ class TestViolationHistogram:
         assert reproduced.n_violations == hist.n_violations > 0
         assert np.array_equal(reproduced.bin_edges, hist.bin_edges)
         assert np.array_equal(reproduced.density, hist.density)
+
+    def test_rejects_bins_of_zero_width(self):
+        # a subnormal violation range gave edges [0, 0, ..., 5e-324, ...] and
+        # a density of nan and inf
+        cfg = MCConfig(2, "haar", (2e-162,), 2000, bound_factor=5e-324, seed=1)
+        for make in (lambda: montecarlo.histogram_edges(cfg, 50),
+                     lambda: violation_histogram(cfg, bins=50),
+                     lambda: violation_probability(cfg, hist_bins=50)):
+            with pytest.raises(ValueError, match="too narrow"):
+                make()
+        # a narrow range of normal doubles still gives finite widths and densities
+        cfg = MCConfig(2, "haar", (1e-150,), 2000, bound_factor=1e-300, seed=1)
+        hist = violation_histogram(cfg, bins=50)
+        assert np.all(np.diff(hist.bin_edges) > 0.0) and np.all(np.isfinite(hist.density))
 
     def test_rejects_oversized_bin_count_before_allocating(self):
         # 1e12 bins ended in a MemoryError from np.linspace
