@@ -201,15 +201,79 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _table_probs(tables) -> np.ndarray:
+    """The ``(m, 2, 2)`` probabilities of joint tables; m = 0 reaches the settings-count checks."""
+    return np.array([table.probs for table in tables]).reshape(-1, 2, 2)
+
+
+def _tsallis_values(probs, q: float) -> np.ndarray:
+    # the bound for m = probs.shape[-3] settings minus the terms, summed over settings in order
+    bound = ent.eur_bound_tsallis(q, m=probs.shape[-3])
+    terms = ent.conditional_tsallis(probs, q)
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return bound - total
+
+
+def _renyi_values(probs, r: float, s: float) -> np.ndarray:
+    if probs.shape[-3] != 2:
+        raise ValueError(f"the Renyi criterion needs exactly two settings, got {probs.shape[-3]}")
+    r, s = _check_renyi_orders(r, s)
+    first = ent.conditional_arimoto(probs[..., 0, :, :], r)
+    return ent.eur_bound_renyi2() - first - ent.conditional_arimoto(probs[..., 1, :, :], s)
+
+
+def _db_lhs_values(alice, bob, mu) -> np.ndarray:
+    # the vector-form left-hand side at each visibility in mu; the geometry is computed once
+    alice = [qcore.as_unit_vector(u) for u in alice]
+    bob = [qcore.as_unit_vector(v) for v in bob]
+    if len(alice) != len(bob):
+        raise ValueError(f"settings counts differ: {len(alice)} vs {len(bob)}")
+    m = len(alice)
+    if m == 2:
+        factors = [abs(float(np.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))))]
+    elif m == 3:
+        factors = [abs(float(np.dot(vecs[0], np.cross(vecs[1], vecs[2])))) for vecs in (alice, bob)]
+    else:
+        raise ValueError(f"vector-form criterion supports m = 2 or 3, got {m}")
+    lhs = ent.libm_pow(mu, m)
+    for factor in factors:
+        lhs = lhs * factor
+    return lhs
+
+
+def _db_values(alice, bob, mu) -> np.ndarray:
+    lhs = _db_lhs_values(alice, bob, mu)
+    return DB_SCALE[len(alice)] * lhs - db_bound(len(alice), 2)
+
+
+def criterion_values(criteria, probs, alice, bob, mu) -> np.ndarray:
+    """Each criterion's value on every row of a batch, shape ``(len(criteria), B)``.
+
+    ``probs`` holds ``(B, m, 2, 2)`` joint probabilities.  ``db`` reads the m
+    directions ``alice`` and ``bob`` instead, whose geometry it computes once,
+    and the ``(B,)`` visibilities ``mu``.  Each value equals, to the bit, what
+    the estimators below give for its row alone.
+    """
+    values = np.empty((len(criteria), len(probs)))
+    for i, criterion in enumerate(criteria):
+        if criterion.kind == "db":
+            values[i] = _db_values(alice, bob, mu)
+        elif criterion.kind == "renyi":
+            values[i] = _renyi_values(probs, criterion.r, criterion.s)
+        else:
+            values[i] = _tsallis_values(probs, criterion.q)
+    return values
+
+
 def tsallis_steering(tables, q: float) -> SteeringResult:
     """Tsallis steering parameter: uncertainty bound minus summed conditional terms.
 
     The bound is the built-in one for len(tables) orthogonal settings (2 or
     3).  ``q = 1`` gives the Shannon criterion.
     """
-    tables = list(tables)
-    bound = ent.eur_bound_tsallis(q, m=len(tables))
-    value = bound - sum(ent.tsallis_directed_term(t, q) for t in tables)
+    value = float(_tsallis_values(_table_probs(tables), q))
     return SteeringResult("shannon" if q == 1.0 else "tsallis", _order_label(q=q), value)
 
 
@@ -220,16 +284,8 @@ def renyi_steering(tables, r: float, s: float) -> SteeringResult:
     1/r + 1/s = 2 and r, s >= 1/2.  Table 1 is evaluated at order ``r``,
     table 2 at order ``s``.
     """
-    tables = list(tables)
-    if len(tables) != 2:
-        raise ValueError(f"the Renyi criterion needs exactly two settings, got {len(tables)}")
-    r, s = _check_renyi_orders(r, s)
-    value = (
-        ent.eur_bound_renyi2()
-        - ent.arimoto_conditional_renyi(tables[0], r)
-        - ent.arimoto_conditional_renyi(tables[1], s)
-    )
-    return SteeringResult("renyi", _order_label(r=r, s=s), value)
+    value = float(_renyi_values(_table_probs(tables), r, s))
+    return SteeringResult("renyi", _order_label(r=float(r), s=float(s)), value)
 
 
 def db_lhs(alice, bob, mu: float) -> float:
@@ -240,19 +296,7 @@ def db_lhs(alice, bob, mu: float) -> float:
     Violation of the underlying inequality means the returned value exceeds
     ``DB_VECTOR_THRESHOLD[m]``.
     """
-    alice = [qcore.as_unit_vector(u) for u in alice]
-    bob = [qcore.as_unit_vector(v) for v in bob]
-    if len(alice) != len(bob):
-        raise ValueError(f"settings counts differ: {len(alice)} vs {len(bob)}")
-    m = len(alice)
-    mu = float(mu)
-    if m == 2:
-        return mu ** 2 * abs(float(np.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))))
-    if m == 3:
-        det_a = abs(float(np.dot(alice[0], np.cross(alice[1], alice[2]))))
-        det_b = abs(float(np.dot(bob[0], np.cross(bob[1], bob[2]))))
-        return mu ** 3 * det_a * det_b
-    raise ValueError(f"vector-form criterion supports m = 2 or 3, got {m}")
+    return float(_db_lhs_values(alice, bob, float(mu)))
 
 
 def db_steering(alice, bob, mu: float) -> SteeringResult:
@@ -265,8 +309,7 @@ def db_steering(alice, bob, mu: float) -> SteeringResult:
     m = len(alice)
     if m not in (2, 3):
         raise ValueError(f"settings count must be 2 or 3, got {m}")
-    value = DB_SCALE[m] * db_lhs(alice, bob, mu) - db_bound(m, 2)
-    return SteeringResult("db", _order_label(m=m), value)
+    return SteeringResult("db", _order_label(m=m), float(_db_values(alice, bob, float(mu))))
 
 
 def evaluate(scenario: Scenario, criterion: Criterion) -> SteeringResult:

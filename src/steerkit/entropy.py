@@ -9,6 +9,7 @@ The conventions ``0^q = 0`` and ``0 * log(0) = 0`` hold throughout.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -83,10 +84,75 @@ def renyi_entropy(p, r: float) -> float:
     return float(np.log((probs ** r).sum()) / (1.0 - r))
 
 
-def _joint_minus_marginal(table: JointTable) -> float:
-    # Shannon conditional H(B|A) = H(A,B) - H(A), with 0 log 0 = 0.
-    joint = table.probs.ravel()
-    return shannon_entropy(joint) - shannon_entropy(table.marginal_a)
+#: Smallest positive normal double: a sum of powers below it has lost digits to underflow.
+_TINY = sys.float_info.min
+
+
+def libm_pow(base, exponent: float) -> np.ndarray:
+    """Elementwise ``base ** exponent`` rounded as Python floats and numpy scalars round it.
+
+    numpy's vectorised power differs from the C library's ``pow`` in the last
+    bit for a few per cent of inputs.  The marginal and visibility powers go
+    through this, so that a batch gives the same bits as one number at a time
+    always gave, down to the pinned ``analyze`` output.
+    """
+    base = np.asarray(base, dtype=float)
+    powers = (b ** exponent for b in base.flat)  # numpy scalars: no list of the whole batch
+    return np.fromiter(powers, float, count=base.size).reshape(base.shape)
+
+
+def _plogp(p: np.ndarray) -> np.ndarray:
+    # p ln p with 0 ln 0 = 0 (a zero cell takes ln 1), in one buffer
+    out = np.where(p > 0.0, p, 1.0)
+    np.log(out, out=out)
+    out *= p
+    return out
+
+
+def conditional_shannon(probs) -> np.ndarray:
+    """Shannon conditional H(B|A) = H(A, B) - H(A) of ``(..., 2, 2)`` tables, in nats.
+
+    Both entropies sum their cells left to right in row-major order, the order
+    in which numpy sums a short row, so each value equals
+    ``shannon_entropy(joint) - shannon_entropy(marginal)`` to the bit.
+    """
+    cells = _plogp(probs)
+    rows = _plogp(probs[..., 0] + probs[..., 1])
+    joint = ((cells[..., 0, 0] + cells[..., 0, 1]) + cells[..., 1, 0]) + cells[..., 1, 1]
+    return (rows[..., 0] + rows[..., 1]) - joint
+
+
+def conditional_tsallis(probs, q: float) -> np.ndarray:
+    """Array form of :func:`tsallis_directed_term` over ``(..., 2, 2)`` tables."""
+    if q == 1.0:
+        return conditional_shannon(probs)
+    cells = probs ** q
+    marg = probs[..., 0] + probs[..., 1]
+    scale = libm_pow(marg, q - 1.0)
+    normal = scale >= _TINY  # a zero marginal contributes nothing
+    ratio = np.divide(cells[..., 0] + cells[..., 1], scale, out=np.zeros_like(marg), where=normal)
+    under = (marg > 0.0) & ~normal
+    if under.any():  # p_a^(q-1) underflows at q in the thousands: divide p_ab by p_a first
+        low = marg[under]
+        ratio[under] = low * ((probs[under] / low[:, None]) ** q).sum(axis=-1)
+    return (1.0 - (ratio[..., 0] + ratio[..., 1])) / (q - 1.0)
+
+
+def conditional_arimoto(probs, r: float) -> np.ndarray:
+    """Array form of :func:`arimoto_conditional_renyi` over ``(..., 2, 2)`` tables."""
+    if r == 1.0:
+        return conditional_shannon(probs)
+    peaks = np.maximum(probs[..., 0], probs[..., 1])
+    if r == math.inf:
+        return -np.log(peaks[..., 0] + peaks[..., 1])
+    cells = probs ** r
+    sums = cells[..., 0] + cells[..., 1]
+    norms = sums ** (1.0 / r)
+    under = (sums < _TINY) & (peaks > 0.0)
+    if under.any():  # p^r underflows at r in the thousands: factor out the row's largest p
+        top = peaks[under]
+        norms[under] = top * (((probs[under] / top[:, None]) ** r).sum(axis=-1)) ** (1.0 / r)
+    return r / (1.0 - r) * np.log(norms[..., 0] + norms[..., 1])
 
 
 def tsallis_directed_term(table: JointTable, q: float) -> float:
@@ -96,17 +162,7 @@ def tsallis_directed_term(table: JointTable, q: float) -> float:
     bound in the Tsallis steering parameter.  Cells with zero Alice marginal
     contribute nothing; ``q = 1`` returns the Shannon conditional entropy.
     """
-    q = _check_tsallis_order(q)
-    if q == 1.0:
-        return _joint_minus_marginal(table)
-    probs = table.probs
-    marg = table.marginal_a
-    inner = 0.0
-    for i in range(2):
-        if marg[i] <= 0.0:
-            continue
-        inner += (probs[i, :] ** q).sum() / marg[i] ** (q - 1.0)
-    return float((1.0 - inner) / (q - 1.0))
+    return float(conditional_tsallis(table.probs, _check_tsallis_order(q)))
 
 
 def arimoto_conditional_renyi(table: JointTable, r: float) -> float:
@@ -118,14 +174,7 @@ def arimoto_conditional_renyi(table: JointTable, r: float) -> float:
     x the state-measurement overlap, which is what the closed-form steering
     expressions require.
     """
-    r = _check_renyi_order(r)
-    probs = table.probs
-    if r == 1.0:
-        return _joint_minus_marginal(table)
-    if r == math.inf:
-        return float(-np.log(probs.max(axis=1).sum()))
-    row_norms = (probs ** r).sum(axis=1) ** (1.0 / r)
-    return float(r / (1.0 - r) * np.log(row_norms.sum()))
+    return float(conditional_arimoto(table.probs, _check_renyi_order(r)))
 
 
 def eur_bound_tsallis(q: float, m: int) -> float:

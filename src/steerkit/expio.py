@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .criteria import Criterion, SteeringResult, db_steering, renyi_steering, tsallis_steering
+from .criteria import (
+    Criterion,
+    SteeringResult,
+    criterion_values,
+    db_steering,
+    renyi_steering,
+    tsallis_steering,
+)
 from .qcore import JointTable
 
 
@@ -264,19 +271,45 @@ def fit_visibility(records) -> float:
         if rec.alice_vec is None or rec.bob_vec is None:
             raise ValueError(f"setting {rec.setting} carries no measurement vectors")
     overlaps = [float(np.dot(rec.alice_vec, rec.bob_vec)) for rec in records]
-    return _least_squares_visibility([counts_to_table(rec) for rec in records], overlaps)
+    probs = np.stack([counts_to_table(rec).probs for rec in records])
+    return float(_least_squares_visibility(probs, overlaps))
 
 
-def _least_squares_visibility(tables, overlaps) -> float:
+def _least_squares_visibility(probs, overlaps):
+    """The fit of :func:`fit_visibility` for each ``(..., m, 2, 2)`` set of tables."""
+    corr = qcore.correlation(probs)
     num = 0.0
     den = 0.0
-    for table, overlap in zip(tables, overlaps):
-        corr = table.correlation
-        num += -corr * overlap
+    for k, overlap in enumerate(overlaps):
+        num = num + -corr[..., k] * overlap
         den += overlap ** 2
     if den == 0.0:
         raise ValueError("all measurement overlaps vanish; visibility is unidentifiable")
     return num / den
+
+
+#: Replicates normalised and evaluated at a time: bounds the criteria's
+#: temporaries whatever the bootstrap size, and leaves every value unchanged.
+_REPLICATE_BATCH = 4096
+
+
+def _replicate_values(draws, criteria, alice, bob, overlaps) -> np.ndarray:
+    """Each criterion's value on each ``(B, m, 2, 2)`` Poisson replicate, in order.
+
+    A replicate with a zero-total setting cannot be normalised and is left
+    out (only possible at tiny counts).  With ``overlaps`` each replicate's
+    visibility is fitted, unclipped: clamping would pin replicates fitted
+    above 1 to exactly 1 and collapse the spread of the determinant value.
+    """
+    totals = draws.sum(axis=(2, 3))
+    kept = np.flatnonzero(np.all(totals > 0, axis=1))
+    values = np.empty((len(criteria), kept.size))
+    for start in range(0, kept.size, _REPLICATE_BATCH):
+        rows = kept[start:start + _REPLICATE_BATCH]
+        probs = draws[rows] / totals[rows][:, :, None, None]
+        mu = None if overlaps is None else _least_squares_visibility(probs, overlaps)
+        values[:, start:start + rows.size] = criterion_values(criteria, probs, alice, bob, mu)
+    return values
 
 
 def _evaluate_criterion(criterion: Criterion, tables, alice, bob, mu) -> SteeringResult:
@@ -306,7 +339,10 @@ def _spread(values) -> list[float]:
 
 #: Most bootstrap replicates one evaluation may draw.  The Poisson draws take
 #: 32 B per replicate and setting (9.6 MB at m = 3) and each criterion's
-#: replicate values 8 B per replicate (0.8 MB).
+#: replicate values 8 B per replicate (0.8 MB).  At this size, m = 3 and three
+#: criteria, tracemalloc puts the bootstrap's peak at 17 MB: the draws, their
+#: per-setting totals (2.4 MB), the values and one batch of normalised
+#: replicates with the criteria's temporaries.
 MAX_BOOTSTRAP = 100_000
 
 
@@ -362,19 +398,7 @@ def evaluate_with_errors(
         raw = np.stack([rec.counts for rec in records])  # (m, 2, 2)
         draws = rng.poisson(lam=raw, size=(bootstrap,) + raw.shape)
         overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)] if needs_fit else None
-        values = np.empty((len(criteria), bootstrap))
-        used = 0
-        for rep in draws:
-            totals = rep.sum(axis=(1, 2))
-            if np.any(totals == 0):
-                continue  # unnormalisable replicate; only possible at tiny counts
-            rep_tables = [JointTable(cells / total) for cells, total in zip(rep, totals)]
-            # unclipped: clamping pins replicates fitted above 1 to exactly 1
-            # and collapses the spread of the determinant value
-            rep_mu = _least_squares_visibility(rep_tables, overlaps) if needs_fit else None
-            values[:, used] = [res.value for res in evaluate(rep_tables, bob, rep_mu)]
-            used += 1
-        stat_errors = _spread(values[:, :used])
+        stat_errors = _spread(_replicate_values(draws, criteria, alice, bob, overlaps))
 
     if jitter_deg > 0.0 and bootstrap > 0:
         sigma = math.radians(jitter_deg)

@@ -287,6 +287,22 @@ def _map_chunks(task, plan, n_workers: int):
     return total
 
 
+def _threshold(m: int, mu: float, factor: float) -> float:
+    """The geometry a sample must exceed to violate a cell: factor * T_m / mu^m.
+
+    inf where mu^m is 0, also when it underflows.  Where factor * T_m
+    underflows, factor and mu are split into mantissa and exponent, so that
+    no step leaves the normal range before the last.
+    """
+    if not mu ** m > 0.0:
+        return math.inf
+    bound = factor * DB_VECTOR_THRESHOLD[m]
+    if bound >= sys.float_info.min:
+        return bound / mu ** m
+    (f_man, f_exp), (mu_man, mu_exp) = math.frexp(factor), math.frexp(mu)
+    return math.ldexp(f_man * DB_VECTOR_THRESHOLD[m] / mu_man ** m, f_exp - m * mu_exp)
+
+
 def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     """One :class:`MCEstimate` per (mu, bound factor) cell, all from one sample set.
 
@@ -305,12 +321,7 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     """
     m, n_samples = cfg.m, cfg.n_samples
     cells = [(mu, factor) for mu in cfg.mu_grid for factor in factors]
-    thresholds = np.array(
-        [
-            factor * DB_VECTOR_THRESHOLD[m] / mu ** m if mu ** m > 0.0 else math.inf
-            for mu, factor in cells
-        ]
-    )
+    thresholds = np.array([_threshold(m, mu, factor) for mu, factor in cells])
 
     single = len(cells) == 1
     angle_count = single and hist_edges is None and cfg.scheme == "dihedral"

@@ -120,8 +120,12 @@ class JointTable:
     @property
     def correlation(self) -> float:
         """Expectation value <a b> = sum_ab a b p(a, b)."""
-        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return float((signs * self.probs).sum())
+        return float(correlation(self.probs))
+
+
+def correlation(probs) -> np.ndarray:
+    """<a b> of ``(..., 2, 2)`` tables, summed over the cells in row-major order."""
+    return ((probs[..., 0, 0] - probs[..., 0, 1]) - probs[..., 1, 0]) + probs[..., 1, 1]
 
 
 def joint_table_trace(rho, a_vec, b_vec) -> JointTable:

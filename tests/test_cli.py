@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ class TestMcCommand:
         row = result.stdout.strip().split("\n")[1].split(",")
         p, stderr = float(row[5]), float(row[6])
         assert abs(p - 0.6292554) < 4.0 * stderr
+
+    def test_threshold_when_factor_times_bound_underflows(self):
+        # 5e-324 * T_2 rounds to 0, which made every sample violate (p_violation 1);
+        # haar m = 2 violates with probability 1 - t at threshold t
+        result = run_cli(
+            "mc", "--m", "2", "--class", "rom", "--scheme", "haar", "--mu-grid", "2e-162",
+            "--bound-factor", "5e-324", "--samples", "2000", "--seed", "1",
+        )
+        assert result.returncode == 0
+        p = float(result.stdout.strip().split("\n")[1].split(",")[5])
+        expected = 1.0 - float(Fraction(5e-324) * Fraction(0.5) / Fraction(2e-162) ** 2)
+        assert abs(expected - 0.38) < 0.01
+        assert abs(p - expected) < 5.0 * math.sqrt(expected * (1.0 - expected) / 2000)
 
     def test_byte_determinism(self):
         args = (

@@ -174,6 +174,52 @@ def test_criterion_rejected_or_closed_form_finite(args, mu, phi, alpha, m):
     assert root is None or 0.0 <= root <= 90.0
 
 
+@st.composite
+def unit_vector(draw):
+    """A unit 3-vector from three coordinates, z where they nearly vanish."""
+    vec = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 1e-6 else np.array([0.0, 0.0, 1.0])
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A valid scenario in any mode: mub and nom at any finite angles, or explicit vectors."""
+    m = draw(st.sampled_from((2, 3)))
+    mode = draw(st.sampled_from(("mub", "nom", "explicit")))
+    mu = draw(st.floats(0.0, 1.0))
+    if mode != "explicit":
+        angles = st.floats(allow_nan=False, allow_infinity=False)
+        return Scenario(mu=mu, alpha_deg=draw(angles), phi_deg=draw(angles), m=m, mode=mode)
+    vectors = draw(st.lists(unit_vector(), min_size=2 * m, max_size=2 * m))
+    return Scenario(mu=mu, m=m, mode="explicit", alice=vectors[:m], bob=vectors[m:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario=valid_scenarios(), args=criterion_args())
+def test_evaluate_rejected_or_finite(scenario, args):
+    kind, orders = args
+    try:
+        result = evaluate(scenario, Criterion(kind, **orders))
+    except ValueError:
+        return
+    assert math.isfinite(result.value)
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        Criterion("renyi", r=0.5 + 2.0 ** -52, s=2.25e15),
+        Criterion("renyi", r=2.25e15, s=0.5 + 2.0 ** -52),
+        Criterion("tsallis", q=2000.0),
+    ],
+)
+def test_underflowing_orders_agree_with_closed_form(criterion):
+    # p ** s underflowed in the pipeline: Renyi gave -inf and Tsallis nan
+    scenario = Scenario(mu=0.9, alpha_deg=10.0)
+    assert abs(evaluate(scenario, criterion).value - closed_form(scenario, criterion)) < 1e-10
+
+
 class TestTsallisSteering:
     def test_aligned_singlet_q2(self):
         result = tsallis_steering(mub_tables(1.0, 2), 2.0)

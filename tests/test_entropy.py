@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import binary_shannon
 from steerkit.entropy import (
     arimoto_conditional_renyi,
+    conditional_arimoto,
+    conditional_tsallis,
     eur_bound_renyi2,
     eur_bound_tsallis,
     q_log,
@@ -179,3 +183,71 @@ class TestBounds:
         assert np.isclose(eur_bound_renyi2(), 0.693147, atol=1e-6)
         assert np.isclose(eur_bound_renyi2(), 2.0 * math.log(math.sqrt(2.0)), atol=1e-15)
         assert np.isclose(eur_bound_renyi2(), eur_bound_tsallis(1.0, 2), atol=1e-15)
+
+
+def reference_conditional(probs):
+    """H(A, B) - H(A) through the distribution entropies."""
+    return shannon_entropy(probs.ravel()) - shannon_entropy(probs.sum(axis=1))
+
+
+def reference_tsallis_term(probs, q):
+    """The conditional Tsallis term one row at a time, in numpy scalars (the reference)."""
+    if q == 1.0:
+        return reference_conditional(probs)
+    marg = probs.sum(axis=1)
+    inner = 0.0
+    for i in range(2):
+        if marg[i] > 0.0:
+            inner += (probs[i, :] ** q).sum() / marg[i] ** (q - 1.0)
+    return float((1.0 - inner) / (q - 1.0))
+
+
+def reference_arimoto(probs, r):
+    """The Arimoto conditional entropy of one table, without an underflow guard (the reference)."""
+    if r == 1.0:
+        return reference_conditional(probs)
+    if r == math.inf:
+        return float(-np.log(probs.max(axis=1).sum()))
+    return float(r / (1.0 - r) * np.log(((probs ** r).sum(axis=1) ** (1.0 / r)).sum()))
+
+
+#: Cell counts: small ones give empty cells and empty rows, large ones fine fractions.
+CELL_COUNTS = st.integers(0, 3) | st.integers(0, 10 ** 7)
+
+
+@st.composite
+def table_batches(draw):
+    """``(B, 2, 2)`` maximum-likelihood tables, some with zero cells and zero-marginal rows."""
+    size = draw(st.integers(1, 20))
+    counts = np.array(draw(st.lists(CELL_COUNTS, min_size=4 * size, max_size=4 * size)), dtype=float)
+    counts = counts.reshape(size, 2, 2)
+    counts[counts.sum(axis=(1, 2)) == 0, 0, 1] = 1.0
+    return counts / counts.sum(axis=(1, 2))[:, None, None]
+
+
+class TestArrayForms:
+    """Each array term equals the scalar arithmetic on every table, to the bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(probs=table_batches(), q=st.sampled_from((1.0, 1.5, 2.0, 2.5, 3.0, 7.0)))
+    def test_tsallis_term_equals_scalar_loop(self, probs, q):
+        expected = [reference_tsallis_term(table, q) for table in probs]
+        assert conditional_tsallis(probs, q).tolist() == expected
+        assert [tsallis_directed_term(JointTable(table), q) for table in probs] == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(probs=table_batches(), r=st.sampled_from((0.5, 0.75, 1.0, 1.5, 3.0, math.inf)))
+    def test_arimoto_term_equals_scalar_loop(self, probs, r):
+        expected = [reference_arimoto(table, r) for table in probs]
+        assert conditional_arimoto(probs, r).tolist() == expected
+        assert [arimoto_conditional_renyi(JointTable(table), r) for table in probs] == expected
+
+    def test_underflowing_orders_stay_finite(self):
+        # p ** 5000 and p_a ** 4999 underflow to 0: unguarded, the Arimoto term
+        # was ln 0 = -inf and the Tsallis term 0 / 0 = nan
+        table = werner_table(0.6)
+        big, small = 0.8, 0.2  # the two cell values of a row, times 2
+        expected = math.log(big) + math.log1p((small / big) ** 5000.0) / 5000.0
+        value = arimoto_conditional_renyi(table, 5000.0)
+        assert np.isclose(value, -5000.0 / 4999.0 * expected, rtol=0.0, atol=1e-15)
+        assert np.isclose(tsallis_directed_term(table, 5000.0), 1.0 / 4999.0, rtol=1e-12, atol=0.0)
