@@ -4,9 +4,9 @@ Every criterion is normalised so that a positive value certifies steering
 (the classical bound of the normalised parameter is 0).  Two independent
 evaluation routes are provided for each criterion:
 
-* :func:`evaluate` builds per-setting joint tables (or measurement vectors)
-  and feeds them through the generic estimators, exactly as one would with
-  measured data;
+* :func:`evaluate` builds each setting's joint table and feeds the tables and
+  measurement directions through :func:`criterion_values`, the one evaluator
+  that measured data and its replicates go through too;
 * :func:`closed_form` evaluates the analytic Werner-state expression.
 
 The two routes agree to ~1e-12 on valid scenarios and the test-suite pins
@@ -61,11 +61,6 @@ def _check_renyi_orders(r: float, s: float) -> tuple[float, float]:
     return r, s
 
 
-def _order_label(**orders) -> str:
-    """The ``order`` column of a result, such as q=2, r=0.5,s=inf or m=3."""
-    return ",".join([f"{name}={value:g}" for name, value in orders.items()])
-
-
 @dataclass(frozen=True)
 class Criterion:
     """A steering criterion and its orders, checked here for every caller.
@@ -118,10 +113,10 @@ class Criterion:
         )
 
     def order_label(self, m: int | None = None) -> str:
-        """The ``order`` of this criterion's results; ``db`` is labelled by the settings count."""
+        """The ``order`` column of a result, such as q=2 or r=0.5,s=inf; ``db`` reads m=3."""
         if self.kind == "db":
-            return "" if m is None else _order_label(m=m)
-        return _order_label(**{name: getattr(self, name) for name in _ORDER_NAMES[self.kind]})
+            return "" if m is None else f"m={m}"
+        return ",".join([f"{name}={getattr(self, name):g}" for name in _ORDER_NAMES[self.kind]])
 
 
 def parse_order(text: str) -> float:
@@ -190,11 +185,6 @@ class Scenario:
             return qcore.nom_settings(self.m)
         return self.alice, self.bob
 
-    def tables(self):
-        """Per-setting Werner joint tables (closed-form Born rule)."""
-        alice, bob = self.settings()
-        return [qcore.joint_table_closed(self.mu, u, v) for u, v in zip(alice, bob)]
-
 
 # ---------------------------------------------------------------------------
 # table- / vector-based estimators (the measurement pipeline)
@@ -202,8 +192,8 @@ class Scenario:
 
 
 def _table_probs(tables) -> np.ndarray:
-    """The ``(m, 2, 2)`` probabilities of joint tables; m = 0 reaches the settings-count checks."""
-    return np.array([table.probs for table in tables]).reshape(-1, 2, 2)
+    """The ``(1, m, 2, 2)`` probabilities of joint tables; m = 0 reaches the settings checks."""
+    return np.array([table.probs for table in tables]).reshape(1, -1, 2, 2)
 
 
 def _tsallis_values(probs, q: float) -> np.ndarray:
@@ -219,52 +209,49 @@ def _tsallis_values(probs, q: float) -> np.ndarray:
 def _renyi_values(probs, r: float, s: float) -> np.ndarray:
     if probs.shape[-3] != 2:
         raise ValueError(f"the Renyi criterion needs exactly two settings, got {probs.shape[-3]}")
-    r, s = _check_renyi_orders(r, s)
     first = ent.conditional_arimoto(probs[..., 0, :, :], r)
     return ent.eur_bound_renyi2() - first - ent.conditional_arimoto(probs[..., 1, :, :], s)
 
 
 def _db_lhs_values(alice, bob, mu) -> np.ndarray:
-    # the vector-form left-hand side at each visibility in mu; the geometry is computed once
-    alice = [qcore.as_unit_vector(u) for u in alice]
-    bob = [qcore.as_unit_vector(v) for v in bob]
-    if len(alice) != len(bob):
-        raise ValueError(f"settings counts differ: {len(alice)} vs {len(bob)}")
+    # the vector-form left-hand side of each row, from Alice's (m, 3) and Bob's (..., m, 3)
+    alice, bob = list(alice), list(np.moveaxis(bob, -2, 0))  # one entry per setting
     m = len(alice)
     if m == 2:
-        factors = [abs(float(np.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))))]
+        factors = [qcore.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))]
     elif m == 3:
-        factors = [abs(float(np.dot(vecs[0], np.cross(vecs[1], vecs[2])))) for vecs in (alice, bob)]
+        factors = [qcore.dot(vecs[0], np.cross(vecs[1], vecs[2])) for vecs in (alice, bob)]
     else:
-        raise ValueError(f"vector-form criterion supports m = 2 or 3, got {m}")
+        raise ValueError(f"settings count must be 2 or 3, got {m}")
     lhs = ent.libm_pow(mu, m)
     for factor in factors:
-        lhs = lhs * factor
+        lhs = lhs * abs(factor)
     return lhs
-
-
-def _db_values(alice, bob, mu) -> np.ndarray:
-    lhs = _db_lhs_values(alice, bob, mu)
-    return DB_SCALE[len(alice)] * lhs - db_bound(len(alice), 2)
 
 
 def criterion_values(criteria, probs, alice, bob, mu) -> np.ndarray:
     """Each criterion's value on every row of a batch, shape ``(len(criteria), B)``.
 
-    ``probs`` holds ``(B, m, 2, 2)`` joint probabilities.  ``db`` reads the m
-    directions ``alice`` and ``bob`` instead, whose geometry it computes once,
-    and the ``(B,)`` visibilities ``mu``.  Each value equals, to the bit, what
-    the estimators below give for its row alone.
+    ``probs`` holds ``(B, m, 2, 2)`` joint probabilities.  ``db`` reads Alice's
+    ``(m, 3)`` directions, Bob's ``(B, m, 3)`` (or ``(m, 3)`` for every row)
+    and the visibility ``mu``, one or one per row, unchecked.  Each value
+    equals, to the bit, what its row alone gives.
     """
     values = np.empty((len(criteria), len(probs)))
     for i, criterion in enumerate(criteria):
         if criterion.kind == "db":
-            values[i] = _db_values(alice, bob, mu)
+            lhs = _db_lhs_values(alice, bob, mu)  # checks the settings count
+            values[i] = DB_SCALE[len(alice)] * lhs - db_bound(len(alice), 2)
         elif criterion.kind == "renyi":
             values[i] = _renyi_values(probs, criterion.r, criterion.s)
         else:
             values[i] = _tsallis_values(probs, criterion.q)
     return values
+
+
+def _one_row(criterion: Criterion, probs, alice, bob, mu) -> SteeringResult:
+    value = criterion_values([criterion], probs, alice, bob, mu)[0, 0]
+    return SteeringResult(criterion.kind, criterion.order_label(probs.shape[-3]), float(value))
 
 
 def tsallis_steering(tables, q: float) -> SteeringResult:
@@ -273,8 +260,7 @@ def tsallis_steering(tables, q: float) -> SteeringResult:
     The bound is the built-in one for len(tables) orthogonal settings (2 or
     3).  ``q = 1`` gives the Shannon criterion.
     """
-    value = float(_tsallis_values(_table_probs(tables), q))
-    return SteeringResult("shannon" if q == 1.0 else "tsallis", _order_label(q=q), value)
+    return _one_row(Criterion("tsallis", q=q), _table_probs(tables), None, None, None)
 
 
 def renyi_steering(tables, r: float, s: float) -> SteeringResult:
@@ -284,8 +270,7 @@ def renyi_steering(tables, r: float, s: float) -> SteeringResult:
     1/r + 1/s = 2 and r, s >= 1/2.  Table 1 is evaluated at order ``r``,
     table 2 at order ``s``.
     """
-    value = float(_renyi_values(_table_probs(tables), r, s))
-    return SteeringResult("renyi", _order_label(r=float(r), s=float(s)), value)
+    return _one_row(Criterion("renyi", r=r, s=s), _table_probs(tables), None, None, None)
 
 
 def db_lhs(alice, bob, mu: float) -> float:
@@ -296,7 +281,9 @@ def db_lhs(alice, bob, mu: float) -> float:
     Violation of the underlying inequality means the returned value exceeds
     ``DB_VECTOR_THRESHOLD[m]``.
     """
-    return float(_db_lhs_values(alice, bob, float(mu)))
+    alice = list(alice)
+    scenario = Scenario(mu=mu, m=len(alice), mode="explicit", alice=alice, bob=tuple(bob))
+    return float(_db_lhs_values(*scenario.settings(), scenario.mu))
 
 
 def db_steering(alice, bob, mu: float) -> SteeringResult:
@@ -306,21 +293,15 @@ def db_steering(alice, bob, mu: float) -> SteeringResult:
     zero crossing of the vector-form inequality.
     """
     alice = list(alice)
-    m = len(alice)
-    if m not in (2, 3):
-        raise ValueError(f"settings count must be 2 or 3, got {m}")
-    return SteeringResult("db", _order_label(m=m), float(_db_values(alice, bob, float(mu))))
+    scenario = Scenario(mu=mu, m=len(alice), mode="explicit", alice=alice, bob=tuple(bob))
+    return evaluate(scenario, Criterion("db"))
 
 
 def evaluate(scenario: Scenario, criterion: Criterion) -> SteeringResult:
     """Evaluate a criterion on a scenario through the measurement pipeline."""
-    if criterion.kind == "db":
-        alice, bob = scenario.settings()
-        return db_steering(alice, bob, scenario.mu)
-    tables = scenario.tables()
-    if criterion.kind == "renyi":
-        return renyi_steering(tables, criterion.r, criterion.s)
-    return tsallis_steering(tables, criterion.q)
+    alice, bob = (np.array(vecs) for vecs in scenario.settings())
+    probs = qcore.werner_probs(scenario.mu, alice, bob)[None]
+    return _one_row(criterion, probs, alice, bob[None], scenario.mu)
 
 
 # ---------------------------------------------------------------------------

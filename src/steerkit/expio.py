@@ -245,7 +245,7 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
     with an integer seed each cell is an independent Poisson draw with the
     expected count as its mean.
     """
-    rng = None if seed is None else np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(qcore.as_int("seed", seed))
     records = []
     for i, (u, v) in enumerate(zip(alice, bob)):
         table = qcore.joint_table_closed(mu, u, v)
@@ -332,6 +332,20 @@ def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
     return math.cos(angle) * vec + math.sin(angle) * np.cross(axis, vec)
 
 
+def _jitter_values(criteria, alice, bob, mu, sigma, count, rng) -> np.ndarray:
+    """Each criterion's value on ``count`` Werner models with Bob's directions jittered.
+
+    Directions are drawn one at a time, in the seed's order; models are evaluated in batches.
+    """
+    values = np.empty((len(criteria), count))
+    for start in range(0, count, _REPLICATE_BATCH):
+        size = min(_REPLICATE_BATCH, count - start)
+        jittered = np.array([[_jittered_vector(v, sigma, rng) for v in bob] for _ in range(size)])
+        probs = qcore.werner_probs(mu, alice, jittered)
+        values[:, start:start + size] = criterion_values(criteria, probs, alice, jittered, mu)
+    return values
+
+
 def _spread(values) -> list[float]:
     """Sample standard deviation of each row of replicate values; 0 below two replicates."""
     return [float(np.std(row, ddof=1)) if row.size > 1 else 0.0 for row in values]
@@ -340,9 +354,9 @@ def _spread(values) -> list[float]:
 #: Most bootstrap replicates one evaluation may draw.  The Poisson draws take
 #: 32 B per replicate and setting (9.6 MB at m = 3) and each criterion's
 #: replicate values 8 B per replicate (0.8 MB).  At this size, m = 3 and three
-#: criteria, tracemalloc puts the bootstrap's peak at 17 MB: the draws, their
-#: per-setting totals (2.4 MB), the values and one batch of normalised
-#: replicates with the criteria's temporaries.
+#: criteria, tracemalloc puts the peak at 17 MB: the draws, their per-setting
+#: totals (2.4 MB), the values and one batch of normalised replicates with the
+#: criteria's temporaries.  The jitter, batched alike, stays below that peak.
 MAX_BOOTSTRAP = 100_000
 
 
@@ -364,6 +378,8 @@ def evaluate_with_errors(
     goes through the same estimators, which reject a settings count they do
     not support.
     """
+    bootstrap = qcore.as_int("bootstrap replicate count", bootstrap)
+    seed = qcore.as_int("seed", seed)
     if not 0 <= bootstrap <= MAX_BOOTSTRAP:
         raise ValueError(
             f"bootstrap replicate count must lie in [0, {MAX_BOOTSTRAP}], got {bootstrap}"
@@ -378,17 +394,14 @@ def evaluate_with_errors(
             "systematic jitter and the determinant criterion need measurement vectors; "
             "attach them to the counts file or the records"
         )
-    alice = [rec.alice_vec for rec in records]
-    bob = [rec.bob_vec for rec in records]
-
-    def evaluate(tables, bob, mu) -> list[SteeringResult]:
-        return [_evaluate_criterion(c, tables, alice, bob, mu) for c in criteria]
+    alice = np.array([rec.alice_vec for rec in records]) if needs_fit else None
+    bob = np.array([rec.bob_vec for rec in records]) if needs_fit else None
 
     tables = [counts_to_table(rec) for rec in records]
     mu_fit = fit_visibility(records) if needs_fit else None
     if mu_fit is not None:
         mu_fit = min(max(mu_fit, 0.0), 1.0)
-    point = evaluate(tables, bob, mu_fit)
+    point = [_evaluate_criterion(c, tables, alice, bob, mu_fit) for c in criteria]
 
     rng = np.random.default_rng(seed)
     stat_errors = [0.0] * len(criteria)
@@ -402,13 +415,10 @@ def evaluate_with_errors(
 
     if jitter_deg > 0.0 and bootstrap > 0:
         sigma = math.radians(jitter_deg)
-        values = np.empty((len(criteria), bootstrap))
-        for i in range(bootstrap):
-            jittered = [_jittered_vector(v, sigma, rng) for v in bob]
-            model_tables = [qcore.joint_table_closed(mu_fit, u, v) for u, v in zip(alice, jittered)]
-            values[:, i] = [res.value for res in evaluate(model_tables, jittered, mu_fit)]
-        sys_errors = _spread(values)
+        sys_errors = _spread(_jitter_values(criteria, alice, bob, mu_fit, sigma, bootstrap, rng))
 
+    if not all(math.isfinite(err) for err in stat_errors + sys_errors):
+        raise ValueError("the error budget overflows: the visibility fit is unidentifiable")
     return [
         (res, ErrorBudget(stat=stat, sys=sys_err))
         for res, stat, sys_err in zip(point, stat_errors, sys_errors)

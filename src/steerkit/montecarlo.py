@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import sys
 from collections import deque
@@ -77,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
+from .qcore import as_int
 
 ROM_SCHEMES = ("dihedral", "haar")
 CRM_SCHEMES = ("isotropic",)
@@ -113,13 +113,6 @@ def measurement_class(scheme: str) -> str:
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; ValueError for a bool or a non-integer type (numpy ints pass)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_bound_factor(factor: float) -> None:
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"bound factor must be positive and finite, got {factor}")
@@ -149,13 +142,13 @@ class MCConfig:
             if not 0.0 <= mu <= 1.0:
                 raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
         object.__setattr__(self, "mu_grid", mu_grid)
-        n_samples = _as_int("sample count", self.n_samples)
+        n_samples = as_int("sample count", self.n_samples)
         if n_samples < 1:
             raise ValueError(f"sample count must be >= 1, got {n_samples}")
         if n_samples > MAX_SAMPLES:
             raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {n_samples}")
         _check_bound_factor(self.bound_factor)
-        seed = _as_int("seed", self.seed)
+        seed = as_int("seed", self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "n_samples", n_samples)

@@ -13,6 +13,7 @@ With these choices the singlet correlation law is
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,18 @@ def as_unit_vector(v) -> np.ndarray:
     if not abs(norm - 1.0) <= ATOL:  # NaN-safe
         raise ValueError(f"measurement direction must be unit norm, got |v| = {norm}")
     return vec
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int; ValueError for a bool or a non-integer type (numpy ints pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def dot(x, y) -> np.ndarray:
+    """u.v over the last axis of ``(..., 3)`` arrays, each rounded as ``np.dot`` rounds it."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def werner_state(mu: float) -> np.ndarray:
@@ -140,17 +153,19 @@ def joint_table_trace(rho, a_vec, b_vec) -> JointTable:
     return JointTable(probs)
 
 
+def werner_probs(mu, alice, bob) -> np.ndarray:
+    """Werner tables (1 - a b mu u.v)/4 of ``(..., 3)`` directions, clipped as JointTable clips."""
+    products = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a b, laid out as a table
+    overlaps = mu * dot(alice, bob)
+    return np.clip((1.0 - products * overlaps[..., None, None]) / 4.0, 0.0, 1.0)
+
+
 def joint_table_closed(mu: float, a_vec, b_vec) -> JointTable:
     """Werner-state joint table in closed form, p(a, b) = (1 - a b mu u.v)/4."""
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
-    overlap = float(np.dot(as_unit_vector(a_vec), as_unit_vector(b_vec)))
-    probs = np.empty((2, 2))
-    for i, a in enumerate(OUTCOMES):
-        for j, b in enumerate(OUTCOMES):
-            probs[i, j] = (1.0 - a * b * mu * overlap) / 4.0
-    return JointTable(probs)
+    return JointTable(werner_probs(mu, as_unit_vector(a_vec), as_unit_vector(b_vec)))
 
 
 def mub_settings(m: int, alpha_deg: float = 0.0, phi_deg: float = 0.0):

@@ -56,3 +56,27 @@ def test_traced_runs_return_the_untraced_estimates(monkeypatch):
     assert traced_point == expected_point
     assert traced_bins.tolist() == expected_bins.tolist()
     assert tracer.jobs[0]["count:montecarlo.count_task"] == 2 * 21
+
+
+def test_traced_analyze_writes_the_untraced_bytes(tmp_path):
+    # the jitter draws each direction through expio._jittered_vector, and the
+    # tracer splits expio.errors into bootstrap and jitter at the first of them
+    alice, bob = qcore.mub_settings(2, 10.0, 20.0)
+    counts = tmp_path / "counts.csv"
+    expio.write_counts(expio.synthesize_counts(0.9, alice, bob, 5000, seed=4), counts)
+    bootstrap = 50
+    argv = ["analyze", "--input", str(counts), "--criteria", "shannon,tsallis2,renyi,db",
+            "--bootstrap", str(bootstrap), "--jitter", "0.1", "--seed", "3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "untraced.json")]) == 0
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        with tracer.job(settings=2, bootstrap=bootstrap):
+            assert cli.main(argv + [str(tmp_path / "traced.json")]) == 0
+    finally:
+        tracer.uninstall()
+    untraced = (tmp_path / "untraced.json").read_bytes()
+    assert (tmp_path / "traced.json").read_bytes() == untraced
+    job = tracer.jobs[0]
+    assert job["jitter_vectors"] == 2 * bootstrap
+    assert job["bootstrap_phase"] > 0.0 and job["jitter_phase"] > 0.0

@@ -325,6 +325,15 @@ class TestDeterminantCriterion:
         assert np.isclose(result.value, 0.02112313, atol=1e-7)
         assert np.isclose(result.value, 0.021, atol=1e-3)
 
+    @pytest.mark.parametrize("mu", [2.0, -1.0, INF, math.nan])
+    def test_visibility_outside_the_unit_interval_rejected(self, mu):
+        # these gave +0.619, +0.088 (mu^2 = 1), inf and nan
+        alice, bob = qcore.mub_settings(2)
+        with pytest.raises(ValueError, match="mixing probability"):
+            db_steering(alice, bob, mu)
+        with pytest.raises(ValueError, match="mixing probability"):
+            db_lhs(alice, bob, mu)
+
     def test_bad_settings_count_rejected(self):
         # four settings: the first two repeated
         alice, bob = qcore.mub_settings(2)

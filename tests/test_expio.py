@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import expio, qcore
-from steerkit.criteria import Criterion, Scenario, closed_form
+from steerkit.criteria import DB_SCALE, Criterion, Scenario, closed_form, db_bound
 from steerkit.expio import (
     MAX_BOOTSTRAP,
     CountsFormatError,
@@ -285,6 +286,26 @@ class TestEvaluateWithErrors:
         with pytest.raises(ValueError):
             evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=jitter_deg)
 
+    @pytest.mark.parametrize("bootstrap, seed", [(2.5, 0), (True, 0), (10, 1.5), (10, None)])
+    def test_rejects_non_integer_bootstrap_or_seed(self, monkeypatch, bootstrap, seed):
+        # 2.5, True and 1.5 raised TypeError inside numpy; None drew an unseeded stream
+        alice, bob = qcore.nom_settings(2)
+        records = synthesize_counts(0.9, alice, bob, 1000)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="must be an integer"):
+            evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, seed=seed)
+
+    def test_rejects_an_error_budget_that_overflows(self):
+        # each setting's directions are 1e-100 from orthogonal, so the visibility
+        # fit is noise over 1e-100: the bootstrap's db values overflowed and
+        # stat_err read inf beside a positive value
+        alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+        bob = [np.array([1.0, 0.0, 1e-100]), np.array([1e-100, 0.0, 1.0])]
+        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        with pytest.raises(ValueError, match="error budget"):
+            with np.errstate(over="ignore"):
+                evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
+
     def test_rejects_oversized_bootstrap_before_drawing(self, monkeypatch):
         # 1e12 replicates ended in a MemoryError from rng.poisson
         alice, bob = qcore.nom_settings(2)
@@ -321,6 +342,26 @@ class TestEvaluateWithErrors:
         assert abs(result.value - closed_form(scen, DB)) <= 5.0 * budget.total + 1e-3
 
 
+def reference_db_value(alice, bob, mu):
+    """The determinant value by the scalar arithmetic, at any visibility (the reference)."""
+    m = len(alice)
+    if m == 2:
+        factors = [abs(float(np.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))))]
+    else:
+        factors = [abs(float(np.dot(vecs[0], np.cross(vecs[1], vecs[2])))) for vecs in (alice, bob)]
+    lhs = mu ** m
+    for factor in factors:
+        lhs = lhs * factor
+    return DB_SCALE[m] * lhs - db_bound(m, 2)
+
+
+def reference_value(criterion, tables, alice, bob, mu):
+    """One replicate's value through the one-row estimators; db at an unclipped fit too."""
+    if criterion.kind == "db":
+        return reference_db_value(alice, bob, mu)
+    return expio._evaluate_criterion(criterion, tables, alice, bob, mu).value
+
+
 def reference_replicate_values(draws, criteria, alice, bob, overlaps):
     """The bootstrap as a loop over replicates, one JointTable per setting (the reference)."""
     values = []
@@ -336,8 +377,25 @@ def reference_replicate_values(draws, criteria, alice, bob, overlaps):
                 num += -table.correlation * overlap
                 den += overlap ** 2
             mu = num / den
-        values.append([expio._evaluate_criterion(c, tables, alice, bob, mu).value for c in criteria])
+        values.append([reference_value(c, tables, alice, bob, mu) for c in criteria])
     return np.array(values).reshape(-1, len(criteria)).T
+
+
+def reference_werner_table(mu, u, v):
+    """A Werner model table cell by cell, p(a, b) = (1 - a b mu u.v)/4 (the reference)."""
+    overlap = float(np.dot(u, v))
+    cells = [[(1.0 - a * b * mu * overlap) / 4.0 for b in (1, -1)] for a in (1, -1)]
+    return qcore.JointTable(np.array(cells))
+
+
+def reference_jitter_values(criteria, alice, bob, mu, sigma_rad, count, rng):
+    """The jitter as a loop over replicates, one model JointTable per setting (the reference)."""
+    values = np.empty((len(criteria), count))
+    for i in range(count):
+        jittered = [expio._jittered_vector(v, sigma_rad, rng) for v in bob]
+        tables = [reference_werner_table(mu, u, v) for u, v in zip(alice, jittered)]
+        values[:, i] = [reference_value(c, tables, alice, jittered, mu) for c in criteria]
+    return values
 
 
 #: Every Tsallis order and Renyi pair the bit-identity property covers.
@@ -362,7 +420,7 @@ class TestBatchedBootstrap:
     @given(draws=replicate_draws(), alpha=st.floats(0.0, 90.0), phi=st.floats(0.0, 90.0))
     def test_values_and_kept_replicates_equal_the_loop(self, draws, alpha, phi):
         m = draws.shape[1]
-        alice, bob = qcore.mub_settings(m, alpha, phi)
+        alice, bob = (np.array(vecs) for vecs in qcore.mub_settings(m, alpha, phi))
         criteria = BATCH_CRITERIA + [DB] + (RENYI_PAIRS if m == 2 else [])
         overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)]
         expected = reference_replicate_values(draws, criteria, alice, bob, overlaps)
@@ -372,7 +430,7 @@ class TestBatchedBootstrap:
         assert np.array_equal(expio._replicate_values(draws, entropic, alice, bob, None), expected)
 
     def test_batches_of_replicates_join_in_order(self, monkeypatch):
-        alice, bob = qcore.mub_settings(3, 10.0, 20.0)
+        alice, bob = (np.array(vecs) for vecs in qcore.mub_settings(3, 10.0, 20.0))
         draws = np.random.default_rng(4).poisson(0.6, size=(50, 3, 2, 2))
         criteria = BATCH_CRITERIA + [DB]
         overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)]
@@ -383,16 +441,113 @@ class TestBatchedBootstrap:
         assert np.array_equal(values, expected)
 
     def test_memory_at_the_largest_bootstrap(self):
-        # the bound stated at MAX_BOOTSTRAP: tracemalloc measured 17.0 MB here,
-        # 9.6 MB of it the Poisson draws
+        # the bound stated at MAX_BOOTSTRAP: tracemalloc measured 17.0 MB here
+        # with and without the jitter, 9.6 MB of it the Poisson draws
         alice, bob = qcore.mub_settings(3, 20.0, 30.0)
         records = synthesize_counts(0.95, alice, bob, 10_000, seed=3)
         criteria = [SHANNON, TSALLIS2, DB]
-        evaluate_with_errors(records, criteria, bootstrap=10, jitter_deg=0.0)  # first-call costs
-        tracemalloc.start()
-        try:
-            evaluate_with_errors(records, criteria, bootstrap=MAX_BOOTSTRAP, jitter_deg=0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        for jitter_deg in (0.0, 0.1):
+            # a small call first, so that first-call costs stay out of the peak
+            evaluate_with_errors(records, criteria, bootstrap=10, jitter_deg=jitter_deg)
+            tracemalloc.start()
+            try:
+                evaluate_with_errors(records, criteria, MAX_BOOTSTRAP, jitter_deg=jitter_deg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6, jitter_deg
+
+
+def random_directions(seed, m):
+    """m random unit 3-vectors, as an ``(m, 3)`` array."""
+    vecs = np.random.default_rng(seed).standard_normal((m, 3))
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+class TestBatchedJitter:
+    """The batched jitter equals the loop over replicates to the bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        m=st.sampled_from((2, 3)),
+        explicit=st.booleans(),
+        angles=st.tuples(st.floats(0.0, 90.0), st.floats(0.0, 90.0)),
+        mu=st.floats(0.0, 1.0),
+        jitter_deg=st.sampled_from((0.1, 1.0, 30.0)),
+        seed=st.integers(0, 2 ** 32),
+        count=st.integers(1, 12),
+        batch=st.integers(1, 5),
+    )
+    def test_systematic_values_equal_the_loop(
+        self, m, explicit, angles, mu, jitter_deg, seed, count, batch
+    ):
+        if explicit:
+            alice, bob = random_directions(seed, m), random_directions(seed + 1, m)
+        else:
+            alice, bob = (np.array(vecs) for vecs in qcore.mub_settings(m, *angles))
+        criteria = BATCH_CRITERIA + [DB] + (RENYI_PAIRS if m == 2 else [])
+        sigma = math.radians(jitter_deg)
+        expected = reference_jitter_values(
+            criteria, alice, bob, mu, sigma, count, np.random.default_rng(seed)
+        )
+        with mock.patch.object(expio, "_REPLICATE_BATCH", batch):
+            values = expio._jitter_values(
+                criteria, alice, bob, mu, sigma, count, np.random.default_rng(seed)
+            )
+        assert np.array_equal(values, expected)
+
+
+def mostly(valid, other):
+    """Draws mostly from ``valid``, sometimes from ``other``."""
+    return st.integers(0, 9).flatmap(lambda k: other if k == 5 else valid)
+
+
+@st.composite
+def direction(draw):
+    """Mostly a unit 3-vector from three coordinates; sometimes any three floats."""
+    if draw(st.integers(0, 9)) == 5:
+        return np.array(draw(st.tuples(*[st.floats()] * 3)))
+    vec = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 1e-6 else np.array([0.0, 0.0, 1.0])
+
+
+ALL_CRITERIA = BATCH_CRITERIA + RENYI_PAIRS + [DB]
+#: Replicate counts and seeds beyond the valid ones: other types, NaN, negatives.
+BAD_COUNTS = st.integers(-3, -1) | st.sampled_from((2.5, True, math.nan, 1e3, None))
+BAD_SEEDS = st.integers(-3, -1) | st.sampled_from((1.5, True, math.nan))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    m=mostly(st.integers(2, 3), st.sampled_from((1, 4))),
+    data=st.data(),
+    mu=mostly(st.floats(0.0, 1.0), st.floats()),
+    total=mostly(st.integers(1, 10 ** 6), st.integers(-10, 0) | st.floats()),
+    counts_seed=mostly(st.none() | st.integers(0, 2 ** 64), BAD_SEEDS),
+    bootstrap=mostly(st.integers(0, 40), BAD_COUNTS),
+    jitter_deg=mostly(st.floats(0.0, 5.0), st.floats()),
+    seed=mostly(st.integers(0, 2 ** 64), BAD_SEEDS | st.none()),
+)
+def test_entry_points_reject_or_return_finite(m, data, mu, total, counts_seed, bootstrap,
+                                              jitter_deg, seed):
+    # synthesize_counts, fit_visibility and evaluate_with_errors each raise
+    # ValueError or return finite values
+    alice = data.draw(st.lists(direction(), min_size=m, max_size=m))
+    bob = data.draw(st.lists(direction(), min_size=m, max_size=m))
+    try:
+        records = synthesize_counts(mu, alice, bob, total, seed=counts_seed)
+    except ValueError:
+        return
+    assert all(rec.total >= 1 for rec in records)
+    try:
+        assert math.isfinite(fit_visibility(records))
+    except ValueError:
+        pass
+    criteria = data.draw(st.lists(st.sampled_from(ALL_CRITERIA), min_size=1, max_size=4))
+    try:
+        out = evaluate_with_errors(records, criteria, bootstrap, jitter_deg, seed)
+    except ValueError:
+        return
+    for result, budget in out:
+        assert all(math.isfinite(x) for x in (result.value, budget.stat, budget.sys))
