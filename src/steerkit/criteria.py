@@ -4,7 +4,7 @@ Every criterion is normalised so that a positive value certifies steering
 (the classical bound of the normalised parameter is 0).  Two independent
 evaluation routes are provided for each criterion:
 
-* :func:`evaluate` builds each setting's joint table and feeds the tables and
+* :func:`evaluate` and :func:`sweep` feed each setting's joint table and
   measurement directions through :func:`criterion_values`, the one evaluator
   that measured data and its replicates go through too;
 * :func:`closed_form` evaluates the analytic Werner-state expression.
@@ -33,9 +33,9 @@ DB_VECTOR_THRESHOLD = {2: 0.5, 3: math.sqrt(3.0) / 9.0}
 
 def db_bound(m: int, d_a: int = 2) -> float:
     """Separable bound on |det D|: (1/sqrt(d_A)) ((sqrt(2 d_A) - 1)/(m sqrt(d_A)))^m."""
-    if m < 2:
+    if qcore.as_int("settings count", m) < 2:
         raise ValueError(f"need at least two settings, got m = {m}")
-    if d_a < 2:
+    if qcore.as_int("untrusted-side dimension", d_a) < 2:
         raise ValueError(f"untrusted-side dimension must be >= 2, got {d_a}")
     return (1.0 / math.sqrt(d_a)) * ((math.sqrt(2.0 * d_a) - 1.0) / (m * math.sqrt(d_a))) ** m
 
@@ -191,9 +191,10 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _table_probs(tables) -> np.ndarray:
-    """The ``(1, m, 2, 2)`` probabilities of joint tables; m = 0 reaches the settings checks."""
-    return np.array([table.probs for table in tables]).reshape(1, -1, 2, 2)
+def _on_tables(criterion: Criterion, tables) -> SteeringResult:
+    # the tables as one (1, m, 2, 2) row; m = 0 reaches the settings checks
+    probs = np.array([table.probs for table in tables]).reshape(1, -1, 2, 2)
+    return criterion_results([criterion], probs, None, None, None)[0][0]
 
 
 def _tsallis_values(probs, q: float) -> np.ndarray:
@@ -214,8 +215,8 @@ def _renyi_values(probs, r: float, s: float) -> np.ndarray:
 
 
 def _db_lhs_values(alice, bob, mu) -> np.ndarray:
-    # the vector-form left-hand side of each row, from Alice's (m, 3) and Bob's (..., m, 3)
-    alice, bob = list(alice), list(np.moveaxis(bob, -2, 0))  # one entry per setting
+    # the vector-form left-hand side of each row, from (m, 3) or (..., m, 3) directions
+    alice, bob = (list(np.moveaxis(vecs, -2, 0)) for vecs in (alice, bob))  # one entry per setting
     m = len(alice)
     if m == 2:
         factors = [qcore.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))]
@@ -232,16 +233,17 @@ def _db_lhs_values(alice, bob, mu) -> np.ndarray:
 def criterion_values(criteria, probs, alice, bob, mu) -> np.ndarray:
     """Each criterion's value on every row of a batch, shape ``(len(criteria), B)``.
 
-    ``probs`` holds ``(B, m, 2, 2)`` joint probabilities.  ``db`` reads Alice's
-    ``(m, 3)`` directions, Bob's ``(B, m, 3)`` (or ``(m, 3)`` for every row)
-    and the visibility ``mu``, one or one per row, unchecked.  Each value
-    equals, to the bit, what its row alone gives.
+    ``probs`` holds ``(B, m, 2, 2)`` joint probabilities.  ``db`` reads both
+    parties' directions, ``(m, 3)`` for every row or ``(B, m, 3)`` one set
+    per row, and the visibility ``mu``, one or one per row, unchecked.  Each
+    value equals, to the bit, what its row alone gives.
     """
+    m = probs.shape[-3]
     values = np.empty((len(criteria), len(probs)))
     for i, criterion in enumerate(criteria):
         if criterion.kind == "db":
             lhs = _db_lhs_values(alice, bob, mu)  # checks the settings count
-            values[i] = DB_SCALE[len(alice)] * lhs - db_bound(len(alice), 2)
+            values[i] = DB_SCALE[m] * lhs - db_bound(m, 2)
         elif criterion.kind == "renyi":
             values[i] = _renyi_values(probs, criterion.r, criterion.s)
         else:
@@ -249,9 +251,11 @@ def criterion_values(criteria, probs, alice, bob, mu) -> np.ndarray:
     return values
 
 
-def _one_row(criterion: Criterion, probs, alice, bob, mu) -> SteeringResult:
-    value = criterion_values([criterion], probs, alice, bob, mu)[0, 0]
-    return SteeringResult(criterion.kind, criterion.order_label(probs.shape[-3]), float(value))
+def criterion_results(criteria, probs, alice, bob, mu) -> list[list[SteeringResult]]:
+    """:func:`criterion_values` labelled: one list of results per row, criteria in order."""
+    labels = [(criterion.kind, criterion.order_label(probs.shape[-3])) for criterion in criteria]
+    values = criterion_values(criteria, probs, alice, bob, mu).T.tolist()
+    return [[SteeringResult(*label, value) for label, value in zip(labels, row)] for row in values]
 
 
 def tsallis_steering(tables, q: float) -> SteeringResult:
@@ -260,7 +264,7 @@ def tsallis_steering(tables, q: float) -> SteeringResult:
     The bound is the built-in one for len(tables) orthogonal settings (2 or
     3).  ``q = 1`` gives the Shannon criterion.
     """
-    return _one_row(Criterion("tsallis", q=q), _table_probs(tables), None, None, None)
+    return _on_tables(Criterion("tsallis", q=q), tables)
 
 
 def renyi_steering(tables, r: float, s: float) -> SteeringResult:
@@ -270,7 +274,7 @@ def renyi_steering(tables, r: float, s: float) -> SteeringResult:
     1/r + 1/s = 2 and r, s >= 1/2.  Table 1 is evaluated at order ``r``,
     table 2 at order ``s``.
     """
-    return _one_row(Criterion("renyi", r=r, s=s), _table_probs(tables), None, None, None)
+    return _on_tables(Criterion("renyi", r=r, s=s), tables)
 
 
 def db_lhs(alice, bob, mu: float) -> float:
@@ -301,7 +305,7 @@ def evaluate(scenario: Scenario, criterion: Criterion) -> SteeringResult:
     """Evaluate a criterion on a scenario through the measurement pipeline."""
     alice, bob = (np.array(vecs) for vecs in scenario.settings())
     probs = qcore.werner_probs(scenario.mu, alice, bob)[None]
-    return _one_row(criterion, probs, alice, bob[None], scenario.mu)
+    return criterion_results([criterion], probs, alice, bob, scenario.mu)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +451,19 @@ class SweepRow:
 
 
 def sweep(mu: float, alpha_grid, phi_deg: float, m: int, criteria, mode: str = "mub"):
-    """Evaluate criteria over a grid of in-plane angles.
+    """Evaluate criteria over a grid of in-plane angles, all in one batch.
 
     Returns one :class:`SweepRow` per (alpha, criterion) pair, alpha-major,
-    in deterministic order.
+    in deterministic order; an empty grid gives no rows and checks nothing.
     """
-    rows = []
-    for alpha_deg in map(float, alpha_grid):
-        scenario = Scenario(mu=mu, alpha_deg=alpha_deg, phi_deg=phi_deg, m=m, mode=mode)
-        for criterion in criteria:
-            res = evaluate(scenario, criterion)
-            rows.append(SweepRow(mu, alpha_deg, phi_deg, m, res.criterion, res.order, res.value,
-                                 res.steerable))
-    return rows
+    alphas = [float(alpha_deg) for alpha_deg in alpha_grid]
+    settings = [Scenario(mu, alpha_deg, phi_deg, m, mode).settings() for alpha_deg in alphas]
+    if not settings:
+        return []
+    alice, bob = (np.array(vecs) for vecs in zip(*settings))  # (n_alpha, m, 3) each
+    results = criterion_results(criteria, qcore.werner_probs(mu, alice, bob), alice, bob, mu)
+    return [SweepRow(mu, alpha_deg, phi_deg, m, res.criterion, res.order, res.value, res.steerable)
+            for alpha_deg, row in zip(alphas, results) for res in row]
 
 
 SWEEP_CSV_HEADER = ["mu", "alpha_deg", "phi_deg", "m", "criterion", "order", "value", "steerable"]

@@ -47,8 +47,8 @@ def _check_renyi_order(r: float) -> float:
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q); ln_1 = ln."""
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"q-logarithm requires x > 0, got {x}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"q-logarithm requires a finite x > 0, got {x}")
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q-logarithm order must be finite, got {q}")

@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .criteria import (
-    Criterion,
-    SteeringResult,
-    criterion_values,
-    db_steering,
-    renyi_steering,
-    tsallis_steering,
-)
+from .criteria import SteeringResult, criterion_results, criterion_values
+# not called here: perfbench/tracing.py patches these names on this module
+from .criteria import db_steering, renyi_steering, tsallis_steering  # noqa: F401
 from .qcore import JointTable
 
 
@@ -246,10 +241,14 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
     expected count as its mean.
     """
     rng = None if seed is None else np.random.default_rng(qcore.as_int("seed", seed))
+    alice, bob, total = list(alice), list(bob), float(total_per_setting)
+    if len(alice) != len(bob):
+        raise ValueError(f"alice and bob must list as many settings: {len(alice)} vs {len(bob)}")
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"total_per_setting must be finite and > 0, got {total_per_setting}")
     records = []
     for i, (u, v) in enumerate(zip(alice, bob)):
-        table = qcore.joint_table_closed(mu, u, v)
-        expected = table.probs * float(total_per_setting)
+        expected = qcore.joint_table_closed(mu, u, v).probs * total
         counts = np.rint(expected).astype(np.int64) if rng is None else rng.poisson(expected)
         records.append(CountsRecord(i + 1, counts, alice_vec=u, bob_vec=v))
     return records
@@ -312,12 +311,9 @@ def _replicate_values(draws, criteria, alice, bob, overlaps) -> np.ndarray:
     return values
 
 
-def _evaluate_criterion(criterion: Criterion, tables, alice, bob, mu) -> SteeringResult:
-    if criterion.kind == "db":
-        return db_steering(alice, bob, mu)
-    if criterion.kind == "renyi":
-        return renyi_steering(tables, criterion.r, criterion.s)
-    return tsallis_steering(tables, criterion.q)
+def _evaluate_criterion(criteria, probs, alice, bob, mu) -> list[SteeringResult]:
+    # every criterion's point estimate on the one observed (1, m, 2, 2) row, in one call
+    return criterion_results(criteria, probs, alice, bob, mu)[0]
 
 
 def _jittered_vector(vec, sigma_rad, rng) -> np.ndarray:
@@ -397,18 +393,16 @@ def evaluate_with_errors(
     alice = np.array([rec.alice_vec for rec in records]) if needs_fit else None
     bob = np.array([rec.bob_vec for rec in records]) if needs_fit else None
 
-    tables = [counts_to_table(rec) for rec in records]
-    mu_fit = fit_visibility(records) if needs_fit else None
-    if mu_fit is not None:
-        mu_fit = min(max(mu_fit, 0.0), 1.0)
-    point = [_evaluate_criterion(c, tables, alice, bob, mu_fit) for c in criteria]
+    raw = np.array([rec.counts for rec in records]).reshape(-1, 2, 2)  # (m, 2, 2)
+    observed = raw / raw.sum(axis=(1, 2))[:, None, None]
+    mu_fit = min(max(fit_visibility(records), 0.0), 1.0) if needs_fit else None
+    point = _evaluate_criterion(criteria, observed[None], alice, bob, mu_fit)
 
     rng = np.random.default_rng(seed)
     stat_errors = [0.0] * len(criteria)
     sys_errors = [0.0] * len(criteria)
 
     if bootstrap > 0:
-        raw = np.stack([rec.counts for rec in records])  # (m, 2, 2)
         draws = rng.poisson(lam=raw, size=(bootstrap,) + raw.shape)
         overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)] if needs_fit else None
         stat_errors = _spread(_replicate_values(draws, criteria, alice, bob, overlaps))

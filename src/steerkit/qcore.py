@@ -13,6 +13,7 @@ With these choices the singlet correlation law is
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ def as_unit_vector(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {vec.shape}")
-    norm = np.linalg.norm(vec)
+    norm = math.hypot(*vec)  # scaled: a huge finite vector does not overflow
     if not abs(norm - 1.0) <= ATOL:  # NaN-safe
         raise ValueError(f"measurement direction must be unit norm, got |v| = {norm}")
     return vec

@@ -10,6 +10,8 @@ returns that the tracer's wrappers do not pass through.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from steerkit import cli, criteria, entropy, expio, montecarlo, qcore
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -80,3 +82,22 @@ def test_traced_analyze_writes_the_untraced_bytes(tmp_path):
     job = tracer.jobs[0]
     assert job["jitter_vectors"] == 2 * bootstrap
     assert job["bootstrap_phase"] > 0.0 and job["jitter_phase"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "2", "--mode", "mub", "--format", "json"],
+    ["--m", "3", "--mode", "nom", "--criteria", "shannon,tsallis2,db"],
+])
+def test_traced_sweep_writes_the_untraced_bytes(tmp_path, argv):
+    # the whole grid is one criteria.sweep span, whatever its length and criteria
+    argv = ["sweep", *argv, "--mu", "0.9733", "--phi", "20", "--alpha-grid", "0:90:1", "--out"]
+    assert cli.main(argv + [str(tmp_path / "untraced")]) == 0
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        with tracer.job():
+            assert cli.main(argv + [str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    assert (tmp_path / "traced").read_bytes() == (tmp_path / "untraced").read_bytes()
+    assert tracer.jobs[0]["count:criteria.sweep"] == 1

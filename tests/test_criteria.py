@@ -12,6 +12,7 @@ from steerkit.criteria import (
     DB_VECTOR_THRESHOLD,
     Criterion,
     Scenario,
+    SweepRow,
     closed_form,
     critical_alpha,
     critical_mu,
@@ -306,6 +307,17 @@ class TestDeterminantCriterion:
         with pytest.raises(ValueError):
             db_bound(2, 1)
 
+    @pytest.mark.parametrize(
+        "m, d_a", [(INF, 2), (math.nan, 2), (2.5, 2), (2.0, 2), (True, 2), (2, 2.5), (2, INF)]
+    )
+    def test_bound_rejects_non_integer_args(self, m, d_a):
+        # db_bound(inf) was 0.0, a bound that certifies anything; nan and 2.5 gave numbers too
+        with pytest.raises(ValueError, match="must be an integer"):
+            db_bound(m, d_a)
+
+    def test_bound_takes_numpy_integers(self):
+        assert db_bound(np.int64(3), np.int32(2)) == db_bound(3, 2)
+
     def test_scale_factors(self):
         assert np.isclose(DB_SCALE[2], 1.0 / (4.0 * math.sqrt(2.0)), atol=1e-16)
         assert np.isclose(DB_SCALE[3], 1.0 / (12.0 * math.sqrt(3.0)), atol=1e-16)
@@ -546,3 +558,69 @@ class TestSweep:
         rows = sweep(0.98, np.arange(0.0, 91.0, 10.0), 90.0, 2, criteria)
         assert all(row.value <= 1e-12 for row in rows)
         assert not any(row.steerable for row in rows)
+
+    def test_empty_grid_gives_no_rows(self):
+        # nothing is evaluated, so nothing is checked either
+        assert sweep(0.9, [], 0.0, 2, [Criterion("shannon")]) == []
+        assert sweep(2.0, [], 0.0, 7, [Criterion("db")]) == []
+
+    def test_angles_are_checked_before_any_criterion(self):
+        # every alpha builds its Scenario before the one batched evaluation
+        with pytest.raises(ValueError, match="misalignment angles must be finite"):
+            sweep(0.9, [0.0, math.nan], 0.0, 3, [Criterion("renyi")])
+        with pytest.raises(ValueError, match="needs exactly two settings"):
+            sweep(0.9, [0.0, 10.0], 0.0, 3, [Criterion("renyi")])
+
+
+def reference_sweep(mu, alpha_grid, phi_deg, m, criteria, mode):
+    """The sweep as one evaluate per (alpha, criterion), alpha-major (the reference)."""
+    rows = []
+    for alpha_deg in map(float, alpha_grid):
+        scenario = Scenario(mu=mu, alpha_deg=alpha_deg, phi_deg=phi_deg, m=m, mode=mode)
+        for criterion in criteria:
+            res = evaluate(scenario, criterion)
+            rows.append(SweepRow(mu, alpha_deg, phi_deg, m, res.criterion, res.order, res.value,
+                                 res.steerable))
+    return rows
+
+
+SWEEP_CRITERIA = (
+    [Criterion("shannon"), Criterion("db")]
+    + [Criterion("tsallis", q=q) for q in (1.5, 2.0, 3.0)]
+    + [Criterion("renyi", r=r, s=s) for r, s in ((0.5, INF), (0.75, 1.5), (1.0, 1.0))]
+)
+SWEEP_ANGLES = st.sampled_from((0.0, 45.0, 90.0, -90.0, 180.0)) | st.floats(-720.0, 720.0)
+
+
+@st.composite
+def sweep_args(draw):
+    """Arguments of a valid sweep: one-point grids and angles outside [0, 90] included."""
+    m = draw(st.sampled_from((2, 3)))
+    usable = [c for c in SWEEP_CRITERIA if m == 2 or c.kind != "renyi"]
+    return (
+        draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+        draw(st.lists(SWEEP_ANGLES, min_size=1, max_size=8)),
+        draw(SWEEP_ANGLES),
+        m,
+        draw(st.lists(st.sampled_from(usable), min_size=1, max_size=6)),
+        draw(st.sampled_from(("mub", "nom"))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=sweep_args())
+def test_sweep_equals_one_evaluate_per_point(args):
+    rows = sweep(*args[:5], mode=args[5])
+    assert rows == reference_sweep(*args)
+    assert all(type(row.steerable) is bool for row in rows)  # json.dumps rejects np.bool_
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=sweep_args())
+def test_sweep_equals_the_closed_form(args):
+    mu, _, phi, m, criteria, mode = args
+    rows = sweep(*args[:5], mode=mode)
+    assert len(rows) == len(args[1]) * len(criteria)
+    for k, row in enumerate(rows):
+        scenario = Scenario(mu=mu, alpha_deg=row.alpha_deg, phi_deg=phi, m=m, mode=mode)
+        assert abs(row.value - closed_form(scenario, criteria[k % len(criteria)])) <= 1e-10

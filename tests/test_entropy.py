@@ -61,6 +61,12 @@ class TestQLog:
         with pytest.raises(ValueError):
             q_log(-1.0, 2.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # q_log(nan, 2) returned nan
+        with pytest.raises(ValueError, match="finite x > 0"):
+            q_log(x, 2.0)
+
 
 class TestEntropies:
     def test_deterministic_distribution(self):

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import expio, qcore
-from steerkit.criteria import DB_SCALE, Criterion, Scenario, closed_form, db_bound
+from steerkit.criteria import (
+    DB_SCALE,
+    Criterion,
+    Scenario,
+    closed_form,
+    db_bound,
+    renyi_steering,
+    tsallis_steering,
+)
 from steerkit.expio import (
     MAX_BOOTSTRAP,
     CountsFormatError,
@@ -130,6 +138,21 @@ class TestLoadCounts:
         name = ("ax", "ay", "az", "bx", "by", "bz")[column - 4]
         with pytest.raises(CountsFormatError, match=f"line 2: vector component {name} must be finite"):
             load_counts(path)
+
+
+class TestSynthesizeCounts:
+    def test_settings_must_pair_up(self):
+        # zip truncated the longer list: one record came back for two settings
+        alice, bob = qcore.mub_settings(2)
+        with pytest.raises(ValueError, match="alice and bob must list as many settings"):
+            synthesize_counts(0.9, alice, bob[:1], 1000)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, 0, -5.0])
+    def test_total_must_be_finite_and_positive(self, total):
+        # nan and inf warned in numpy's cast, then raised "counts must be non-negative"
+        alice, bob = qcore.mub_settings(2)
+        with pytest.raises(ValueError, match="total_per_setting must be finite and > 0"):
+            synthesize_counts(0.9, alice, bob, total)
 
 
 class TestCountsToTable:
@@ -356,10 +379,12 @@ def reference_db_value(alice, bob, mu):
 
 
 def reference_value(criterion, tables, alice, bob, mu):
-    """One replicate's value through the one-row estimators; db at an unclipped fit too."""
+    """One replicate's value through the public estimators; db at an unclipped fit too."""
     if criterion.kind == "db":
         return reference_db_value(alice, bob, mu)
-    return expio._evaluate_criterion(criterion, tables, alice, bob, mu).value
+    if criterion.kind == "renyi":
+        return renyi_steering(tables, criterion.r, criterion.s).value
+    return tsallis_steering(tables, criterion.q).value
 
 
 def reference_replicate_values(draws, criteria, alice, bob, overlaps):
