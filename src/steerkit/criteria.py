@@ -90,11 +90,9 @@ class Criterion:
         elif kind != "db":
             if kind == "shannon" and q not in (None, 1.0):
                 raise ValueError(f"the shannon criterion is Tsallis order q = 1, got q = {q}")
-            q = 1.0 if kind == "shannon" else q
-            if not (q is not None and math.isfinite(q) and q >= 1.0):
-                raise ValueError(f"tsallis criterion needs a finite order q >= 1, got {q}")
+            q = ent.check_tsallis_order(1.0 if kind == "shannon" else q)
             object.__setattr__(self, "kind", "shannon" if q == 1.0 else "tsallis")
-            object.__setattr__(self, "q", float(q))
+            object.__setattr__(self, "q", q)
 
     @classmethod
     def parse(cls, token: str) -> "Criterion":
@@ -160,11 +158,9 @@ class Scenario:
     bob: tuple | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mixing probability must lie in [0, 1], got {self.mu}")
+        object.__setattr__(self, "mu", qcore.as_visibility(self.mu))
         _check_angles(self.alpha_deg, self.phi_deg)
-        if self.m not in (2, 3):
-            raise ValueError(f"settings count must be 2 or 3, got {self.m}")
+        qcore.as_settings_count(self.m)
         if self.mode not in ("mub", "nom", "explicit"):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
         if self.mode == "explicit":
@@ -217,13 +213,11 @@ def _renyi_values(probs, r: float, s: float) -> np.ndarray:
 def _db_lhs_values(alice, bob, mu) -> np.ndarray:
     # the vector-form left-hand side of each row, from (m, 3) or (..., m, 3) directions
     alice, bob = (list(np.moveaxis(vecs, -2, 0)) for vecs in (alice, bob))  # one entry per setting
-    m = len(alice)
+    m = qcore.as_settings_count(len(alice))
     if m == 2:
         factors = [qcore.dot(np.cross(alice[0], alice[1]), np.cross(bob[0], bob[1]))]
-    elif m == 3:
-        factors = [qcore.dot(vecs[0], np.cross(vecs[1], vecs[2])) for vecs in (alice, bob)]
     else:
-        raise ValueError(f"settings count must be 2 or 3, got {m}")
+        factors = [qcore.dot(vecs[0], np.cross(vecs[1], vecs[2])) for vecs in (alice, bob)]
     lhs = ent.libm_pow(mu, m)
     for factor in factors:
         lhs = lhs * abs(factor)

@@ -9,6 +9,7 @@ The conventions ``0^q = 0`` and ``0 * log(0) = 0`` hold throughout.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -30,11 +31,11 @@ def _as_distribution(p) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def _check_tsallis_order(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q < 1.0:
+def check_tsallis_order(q) -> float:
+    """``q`` as a float; ValueError unless it is a finite number >= 1 (None and NaN fail)."""
+    if not (isinstance(q, numbers.Real) and math.isfinite(q) and q >= 1.0):
         raise ValueError(f"Tsallis order must satisfy q >= 1 (q = 1 is the Shannon limit), got {q}")
-    return q
+    return float(q)
 
 
 def _check_renyi_order(r: float) -> float:
@@ -66,7 +67,7 @@ def shannon_entropy(p) -> float:
 
 def tsallis_entropy(p, q: float) -> float:
     """Tsallis entropy -sum p^q ln_q(p) = (1 - sum p^q)/(q - 1)."""
-    q = _check_tsallis_order(q)
+    q = check_tsallis_order(q)
     probs = _as_distribution(p)
     if q == 1.0:
         return shannon_entropy(probs)
@@ -162,7 +163,7 @@ def tsallis_directed_term(table: JointTable, q: float) -> float:
     bound in the Tsallis steering parameter.  Cells with zero Alice marginal
     contribute nothing; ``q = 1`` returns the Shannon conditional entropy.
     """
-    return float(conditional_tsallis(table.probs, _check_tsallis_order(q)))
+    return float(conditional_tsallis(table.probs, check_tsallis_order(q)))
 
 
 def arimoto_conditional_renyi(table: JointTable, r: float) -> float:
@@ -183,7 +184,7 @@ def eur_bound_tsallis(q: float, m: int) -> float:
     Returns ln_q(2) for two settings and 2 ln_q(2) for three; other settings
     counts have no built-in bound and raise ``ValueError``.
     """
-    q = _check_tsallis_order(q)
+    q = check_tsallis_order(q)
     if m not in (2, 3):
         raise ValueError(f"no built-in bound for {m} settings; built-in bounds cover 2 or 3 settings")
     return (m - 1) * q_log(2.0, q)

@@ -4,7 +4,7 @@ Counts file format (CSV, header required)::
 
     setting,a,b,counts[,ax,ay,az,bx,by,bz]
 
-``setting`` numbers the measurement settings contiguously from 1; ``a`` and
+``setting`` numbers the measurement settings 1..m, each once; ``a`` and
 ``b`` are the +1/-1 outcomes; ``counts`` is a non-negative integer below
 2**53.  The six optional columns attach the measurement directions of the
 setting (required for the determinant criterion and for systematic-error
@@ -13,8 +13,9 @@ estimation) and must be identical on all four rows of a setting.
 Error model: the statistical error is a parametric Poisson bootstrap over the
 observed counts; the systematic error re-evaluates each criterion with Bob's
 measurement directions perturbed by Gaussian angular jitter, using a Werner
-model with the visibility fitted from the observed correlations.  The total
-is the quadrature sum of the two.
+model with the visibility fitted from the observed correlations (an
+unidentifiable fit is refused; see :func:`fit_visibility`).  The total is the
+quadrature sum of the two.
 """
 
 from __future__ import annotations
@@ -96,10 +97,19 @@ def _parse_outcome(text: str, line_no: int, column: str) -> int:
     raise CountsFormatError(f"line {line_no}: {column} must be +1 or -1, got {text!r}")
 
 
+def _csv_rows(stream):
+    """The rows of a CSV stream; a row the csv module cannot read raises CountsFormatError."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise CountsFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_counts(path) -> list[CountsRecord]:
     """Parse and validate a counts CSV; see the module docstring for the format."""
     with open(path, newline="") as stream:
-        reader = csv.reader(stream)
+        reader = _csv_rows(stream)
         try:
             header = next(reader)
         except StopIteration:
@@ -132,8 +142,6 @@ def load_counts(path) -> list[CountsRecord]:
                 raise CountsFormatError(
                     f"line {line_no}: setting must be an integer, got {row[0]!r}"
                 ) from None
-            if setting < 1:
-                raise CountsFormatError(f"line {line_no}: settings are numbered from 1")
             a = _parse_outcome(row[1], line_no, "a")
             b = _parse_outcome(row[2], line_no, "b")
             try:
@@ -142,8 +150,10 @@ def load_counts(path) -> list[CountsRecord]:
                 raise CountsFormatError(
                     f"line {line_no}: counts must be an integer, got {row[3]!r}"
                 ) from None
-            if count < 0:
-                raise CountsFormatError(f"line {line_no}: negative counts ({count})")
+            if not 0 <= count < 2 ** 53:  # before the int64 cell, which overflows past 2**63
+                raise CountsFormatError(
+                    f"line {line_no}: counts must lie in [0, 2**53), got {count}"
+                )
             key = (setting, a, b)
             if key in seen:
                 raise CountsFormatError(
@@ -174,13 +184,7 @@ def load_counts(path) -> list[CountsRecord]:
                 else:
                     vectors[setting] = pair
 
-    if not cells:
-        raise CountsFormatError(f"{path}: no count rows found")
     settings = sorted(cells)
-    if settings != list(range(1, len(settings) + 1)):
-        raise CountsFormatError(
-            f"{path}: settings must be contiguous from 1, got {settings}"
-        )
     missing = [
         (m, a, b)
         for m in settings
@@ -190,42 +194,57 @@ def load_counts(path) -> list[CountsRecord]:
     ]
     if missing:
         raise CountsFormatError(f"{path}: missing outcome rows {missing}")
-
-    records = []
-    for m in settings:
-        alice_vec, bob_vec = vectors.get(m, (None, None))
-        try:
-            records.append(
-                CountsRecord(m, cells[m], alice_vec=alice_vec, bob_vec=bob_vec)
-            )
-        except ValueError as exc:
-            raise CountsFormatError(f"{path}: {exc}") from None
+    try:
+        records = [CountsRecord(m, cells[m], *vectors.get(m, (None, None))) for m in settings]
+        _dataset(records)  # the numbering
+    except ValueError as exc:
+        raise CountsFormatError(f"{path}: {exc}") from None
     return records
 
 
 def write_counts(records, path) -> None:
-    """Write counts records in the CSV format accepted by :func:`load_counts`."""
-    records = list(records)
-    has_vectors = any(rec.alice_vec is not None for rec in records)
+    """Write a counts dataset in setting order, in the CSV format :func:`load_counts` reads."""
+    counts, directions = _dataset(records)
     with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         header = ["setting", "a", "b", "counts"]
-        if has_vectors:
+        if directions is not None:
             header += list(_VECTOR_COLUMNS)
         writer.writerow(header)
-        for rec in records:
+        for k, cells in enumerate(counts):
+            vectors = [f"{c:.17g}" for vecs in directions or () for c in vecs[k]]
             for a in (1, -1):
                 for b in (1, -1):
-                    row = [rec.setting, f"{a:+d}", f"{b:+d}",
-                           int(rec.counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]])]
-                    if has_vectors:
-                        if rec.alice_vec is None or rec.bob_vec is None:
-                            raise ValueError(
-                                f"setting {rec.setting} lacks vectors but others have them"
-                            )
-                        row += [f"{c:.17g}" for c in rec.alice_vec]
-                        row += [f"{c:.17g}" for c in rec.bob_vec]
-                    writer.writerow(row)
+                    count = int(cells[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]])
+                    writer.writerow([k + 1, f"{a:+d}", f"{b:+d}", count, *vectors])
+
+
+def _dataset(records, vectors_needed: bool = False):
+    """The ``(m, 2, 2)`` counts and ``(alice, bob)`` directions of a dataset, checked whole.
+
+    Settings are numbered 1..m, each once; every setting records both
+    parties' directions, ``(m, 3)`` each in setting order, or none does
+    (directions ``None``), which fails when ``vectors_needed``.
+    """
+    records = sorted(records, key=lambda rec: rec.setting)
+    settings = [rec.setting for rec in records]
+    if not settings:
+        raise ValueError("no count rows found")
+    if settings != list(range(1, len(settings) + 1)):
+        raise ValueError(f"settings must be contiguous from 1, got {settings}")
+    pairs = [(rec.alice_vec, rec.bob_vec) for rec in records]
+    missing = {(u is None, v is None) for u, v in pairs}
+    if missing not in ({(False, False)}, {(True, True)}):
+        raise ValueError(
+            "measurement vectors must be recorded for both parties on every setting or on none"
+        )
+    directions = None if missing == {(True, True)} else tuple(map(np.array, zip(*pairs)))
+    if vectors_needed and directions is None:
+        raise ValueError(
+            "systematic jitter and the determinant criterion need measurement vectors; "
+            "attach them to the counts file or the records"
+        )
+    return np.array([rec.counts for rec in records]), directions
 
 
 def counts_to_table(record: CountsRecord) -> JointTable:
@@ -244,8 +263,11 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
     alice, bob, total = list(alice), list(bob), float(total_per_setting)
     if len(alice) != len(bob):
         raise ValueError(f"alice and bob must list as many settings: {len(alice)} vs {len(bob)}")
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(f"total_per_setting must be finite and > 0, got {total_per_setting}")
+    if not 0.0 < total < 2.0 ** 53:  # before the int64 cast; NaN fails too
+        raise ValueError(
+            f"total_per_setting must be finite and > 0 and below 2**53, the largest exact count, "
+            f"got {total_per_setting}"
+        )
     records = []
     for i, (u, v) in enumerate(zip(alice, bob)):
         expected = qcore.joint_table_closed(mu, u, v).probs * total
@@ -259,19 +281,36 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
 # ---------------------------------------------------------------------------
 
 
+#: Largest standard error of an accepted visibility fit: at 1/2 the fit's
+#: one-sigma interval is as wide as the physical range [0, 1], so the counts
+#: cannot tell a separable state from the singlet along these directions.
+_MAX_FIT_ERROR = 0.5
+
+
 def fit_visibility(records) -> float:
     """Least-squares Werner visibility from the observed correlations.
 
     Minimises sum_m (E_m + mu u_m.v_m)^2 over mu, using the per-setting
-    correlations E_m and the recorded measurement directions.
+    correlations E_m and the recorded measurement directions.  Raises
+    ValueError for an unidentifiable fit, one whose standard error exceeds
+    1/2, with var(E_m) = max(1 - E_m^2, 1/N_m) / N_m for N_m counts: the
+    binomial variance, kept at least one count's worth.
     """
-    records = list(records)
-    for rec in records:
-        if rec.alice_vec is None or rec.bob_vec is None:
-            raise ValueError(f"setting {rec.setting} carries no measurement vectors")
-    overlaps = [float(np.dot(rec.alice_vec, rec.bob_vec)) for rec in records]
-    probs = np.stack([counts_to_table(rec).probs for rec in records])
-    return float(_least_squares_visibility(probs, overlaps))
+    counts, (alice, bob) = _dataset(records, vectors_needed=True)
+    totals = counts.sum(axis=(1, 2))
+    probs = counts / totals[:, None, None]
+    overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)]
+    mu = float(_least_squares_visibility(probs, overlaps))
+    var = np.maximum(1.0 - qcore.correlation(probs) ** 2, 1.0 / totals) / totals
+    scale = max(abs(overlap) for overlap in overlaps)  # no underflow for tiny overlaps
+    weights = (np.array(overlaps) / scale) ** 2
+    error = math.sqrt(float(weights @ var)) / float(weights.sum()) / scale
+    if not error <= _MAX_FIT_ERROR:
+        raise ValueError(
+            f"the visibility fit is unidentifiable: its standard error {error:.3g} "
+            f"exceeds {_MAX_FIT_ERROR}"
+        )
+    return mu
 
 
 def _least_squares_visibility(probs, overlaps):
@@ -382,18 +421,10 @@ def evaluate_with_errors(
         )
     if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
-    records = sorted(records, key=lambda rec: rec.setting)
-    criteria = list(criteria)
+    records, criteria = list(records), list(criteria)
     needs_fit = any(c.kind == "db" for c in criteria) or jitter_deg > 0.0
-    if needs_fit and any(rec.alice_vec is None or rec.bob_vec is None for rec in records):
-        raise ValueError(
-            "systematic jitter and the determinant criterion need measurement vectors; "
-            "attach them to the counts file or the records"
-        )
-    alice = np.array([rec.alice_vec for rec in records]) if needs_fit else None
-    bob = np.array([rec.bob_vec for rec in records]) if needs_fit else None
-
-    raw = np.array([rec.counts for rec in records]).reshape(-1, 2, 2)  # (m, 2, 2)
+    raw, directions = _dataset(records, vectors_needed=needs_fit)  # (m, 2, 2) counts
+    alice, bob = directions or (None, None)
     observed = raw / raw.sum(axis=(1, 2))[:, None, None]
     mu_fit = min(max(fit_visibility(records), 0.0), 1.0) if needs_fit else None
     point = _evaluate_criterion(criteria, observed[None], alice, bob, mu_fit)

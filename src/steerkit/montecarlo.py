@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_int
+from .qcore import as_int, as_settings_count, as_visibility
 
 ROM_SCHEMES = ("dihedral", "haar")
 CRM_SCHEMES = ("isotropic",)
@@ -130,17 +130,13 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m not in (2, 3):
-            raise ValueError(f"settings count must be 2 or 3, got {self.m}")
+        as_settings_count(self.m)
         measurement_class(self.scheme)  # validates the scheme name
         if self.scheme == "dihedral" and self.m != 2:
             raise ValueError("the dihedral scheme is a two-setting construction; use haar for m = 3")
-        mu_grid = tuple(float(mu) for mu in self.mu_grid)
+        mu_grid = tuple(as_visibility(mu) for mu in self.mu_grid)
         if not mu_grid:
             raise ValueError("mu grid must be non-empty")
-        for mu in mu_grid:
-            if not 0.0 <= mu <= 1.0:
-                raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
         object.__setattr__(self, "mu_grid", mu_grid)
         n_samples = as_int("sample count", self.n_samples)
         if n_samples < 1:

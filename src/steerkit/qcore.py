@@ -55,6 +55,21 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_visibility(mu) -> float:
+    """``mu`` as a float; ValueError unless it lies in [0, 1] (NaN fails)."""
+    mu = float(mu)
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
+    return mu
+
+
+def as_settings_count(m) -> int:
+    """``m`` unchanged; ValueError unless it is 2 or 3."""
+    if m not in (2, 3):
+        raise ValueError(f"settings count must be 2 or 3, got {m}")
+    return m
+
+
 def dot(x, y) -> np.ndarray:
     """u.v over the last axis of ``(..., 3)`` arrays, each rounded as ``np.dot`` rounds it."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
@@ -62,9 +77,7 @@ def dot(x, y) -> np.ndarray:
 
 def werner_state(mu: float) -> np.ndarray:
     """Return the 4x4 density matrix mu |psi_s><psi_s| + (1 - mu)/4 I."""
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
+    mu = as_visibility(mu)
     singlet = np.outer(SINGLET_KET, SINGLET_KET.conj())
     return mu * singlet + (1.0 - mu) / 4.0 * np.eye(4, dtype=complex)
 
@@ -163,10 +176,7 @@ def werner_probs(mu, alice, bob) -> np.ndarray:
 
 def joint_table_closed(mu: float, a_vec, b_vec) -> JointTable:
     """Werner-state joint table in closed form, p(a, b) = (1 - a b mu u.v)/4."""
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
-    return JointTable(werner_probs(mu, as_unit_vector(a_vec), as_unit_vector(b_vec)))
+    return JointTable(werner_probs(as_visibility(mu), as_unit_vector(a_vec), as_unit_vector(b_vec)))
 
 
 def mub_settings(m: int, alpha_deg: float = 0.0, phi_deg: float = 0.0):
@@ -180,8 +190,7 @@ def mub_settings(m: int, alpha_deg: float = 0.0, phi_deg: float = 0.0):
 
     Returns ``(alice, bob)``, each a tuple of unit vectors.
     """
-    if m not in (2, 3):
-        raise ValueError(f"settings count must be 2 or 3, got {m}")
+    as_settings_count(m)
     alpha = np.radians(float(alpha_deg))
     phi = np.radians(float(phi_deg))
     x_tilted = np.cos(phi) * X_AXIS + np.sin(phi) * Y_AXIS
@@ -203,8 +212,7 @@ def nom_settings(m: int):
     most correlated with, giving per-setting overlaps
     (1, sqrt(3)/2) for ``m=2`` and (1, sqrt(3)/2, sqrt(2/3)) for ``m=3``.
     """
-    if m not in (2, 3):
-        raise ValueError(f"settings count must be 2 or 3, got {m}")
+    as_settings_count(m)
     u1 = np.array([0.0, 0.0, 1.0])
     u2 = np.array([np.sqrt(3.0) / 2.0, 0.0, 0.5])
     u3 = np.array([1.0 / (2.0 * np.sqrt(3.0)), np.sqrt(2.0 / 3.0), 0.5])

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -524,6 +527,66 @@ def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, me
     assert captured.out == ""
     assert captured.err.startswith(f"steerkit: {message}")
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+
+
+#: Pieces spliced into a valid counts file: junk text, NULs, stray quotes,
+#: separators, numbers out of range and a field past the csv module's limit.
+FUZZ_PIECES = (
+    st.text(max_size=6)
+    | st.sampled_from(("\x00", '"', '"a,b', "\r", "\n", ",", ",,", "-1", "0", "4", "nan",
+                       "inf", "1e400", "9" * 20, "0.5", "setting", "x" * 131_073))
+)
+
+
+def _valid_counts_texts():
+    """The text of a valid counts file for m = 2 and 3, with and without vectors."""
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for m in (2, 3):
+            records = synthesize_counts(0.963, *qcore.nom_settings(m), 1000)
+            for recs in (records, [type(rec)(rec.setting, rec.counts) for rec in records]):
+                path = os.path.join(tmp, "counts.csv")
+                write_counts(recs, path)
+                with open(path) as stream:
+                    texts.append(stream.read())
+    return texts
+
+
+@st.composite
+def counts_files(draw, valid=_valid_counts_texts()):
+    """Bytes of a counts file: a valid one with a few splices, or any bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    text = draw(st.sampled_from(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        text = text[:at] + draw(FUZZ_PIECES) + text[at + cut:]
+    return text.encode("utf-8", "surrogatepass")
+
+
+def test_oversized_counts_field_is_data_error(tmp_path, capsys):
+    # ended in a _csv.Error traceback and exit code 1
+    path = tmp_path / "counts.csv"
+    path.write_text("setting,a,b,counts\n1,+1,+1," + "1" * 131_073 + "\n")
+    assert cli.main(["analyze", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "steerkit: line 2: field larger than field limit (131072)\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(content=counts_files(), jitter=st.sampled_from(("0", "0.1")))
+def test_fuzzed_counts_files_exit_0_2_or_3(content, jitter):
+    # a field over 131,072 characters ended in a csv.Error traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.csv")
+        with open(path, "wb") as stream:
+            stream.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", "--input", path, "--bootstrap", "5", "--jitter", jitter])
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")
 
 
 class TestBoundCommand:

@@ -25,6 +25,7 @@ from steerkit.criteria import (
     sweep_rows_to_csv,
     tsallis_steering,
 )
+from steerkit.expio import CountsRecord, evaluate_with_errors
 
 INF = math.inf
 
@@ -624,3 +625,57 @@ def test_sweep_equals_the_closed_form(args):
     for k, row in enumerate(rows):
         scenario = Scenario(mu=mu, alpha_deg=row.alpha_deg, phi_deg=phi, m=m, mode=mode)
         assert abs(row.value - closed_form(scenario, criteria[k % len(criteria)])) <= 1e-10
+
+
+def _tables(cells):
+    return [qcore.JointTable(np.reshape(cells[4 * k:4 * k + 4], (2, 2))) for k in range(2)]
+
+
+def _records(values):
+    counts, vecs = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[8:20], (2, 2, 3))
+    return [CountsRecord(k + 1, counts[k], vecs[0, k], vecs[1, k]) for k in range(2)]
+
+
+_ALIGNED = [c for vec in qcore.mub_settings(2)[0] + qcore.mub_settings(2)[1] for c in vec]
+_SINGLET_CELLS = [c for t in mub_tables(1.0, 2) for c in t.probs.ravel()]
+_FOUR = [Criterion("shannon"), Criterion("tsallis", q=2.0), Criterion("renyi", r=0.75, s=1.5),
+         Criterion("db")]
+
+#: Each entry point with the numbers of a steerable call (the singlet along
+#: aligned directions), and the call that rebuilds it from those numbers.
+NON_FINITE_ENTRIES = {
+    "evaluate": ([1.0, 0.0, 0.0, 2.0], lambda v: [
+        evaluate(Scenario(v[0], v[1], v[2], 2), Criterion("tsallis", q=v[3]))]),
+    "evaluate_explicit": ([1.0, *_ALIGNED], lambda v: [evaluate(
+        Scenario(v[0], m=2, mode="explicit", alice=np.reshape(v[1:7], (2, 3)),
+                 bob=np.reshape(v[7:13], (2, 3))), Criterion("db"))]),
+    "sweep": ([1.0, 0.0, 5.0, 0.0], lambda v: sweep(v[0], v[1:3], v[3], 2, _FOUR)),
+    "db_steering": ([*_ALIGNED, 1.0], lambda v: [
+        db_steering(np.reshape(v[:6], (2, 3)), np.reshape(v[6:12], (2, 3)), v[12])]),
+    "tsallis_steering": ([*_SINGLET_CELLS, 2.0], lambda v: [tsallis_steering(_tables(v), v[8])]),
+    "renyi_steering": ([*_SINGLET_CELLS, 0.75, 1.5], lambda v: [
+        renyi_steering(_tables(v), v[8], v[9])]),
+    "evaluate_with_errors": ([0, 500, 500, 0, 0, 500, 500, 0, *_ALIGNED, 0.1], lambda v: [
+        result for result, _ in evaluate_with_errors(_records(v), _FOUR, 10, v[20], seed=0)]),
+}
+
+
+def test_non_finite_entries_start_steerable():
+    for values, call in NON_FINITE_ENTRIES.values():
+        results = call(values)
+        assert results and all(result.steerable for result in results)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(sorted(NON_FINITE_ENTRIES)), data=st.data())
+def test_non_finite_input_is_never_steerable(entry, data):
+    values, call = NON_FINITE_ENTRIES[entry]
+    values = list(values)
+    slots = data.draw(st.sets(st.integers(0, len(values) - 1), min_size=1))
+    for slot in slots:
+        values[slot] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    try:
+        results = call(values)
+    except ValueError:
+        return
+    assert not any(result.steerable for result in results)

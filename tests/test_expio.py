@@ -96,6 +96,21 @@ class TestLoadCounts:
         with pytest.raises(CountsFormatError, match="empty"):
             load_counts(write_file(tmp_path, ""))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # a field past csv.field_size_limit() raised csv.Error
+            ("2,+1,+1," + "9" * 131_073, "line 6: field larger than field limit"),
+            # a count past 2**63 raised OverflowError on its way into the int64 cell
+            ("2,+1,+1," + "9" * 20, r"line 6: counts must lie in \[0, 2\*\*53\), got 9{20}"),
+            ("2,+1,+1,-3", r"line 6: counts must lie in \[0, 2\*\*53\), got -3"),
+        ],
+    )
+    def test_unreadable_field_names_line(self, tmp_path, row, message):
+        bad = WELL_FORMED.replace("2,+1,+1,90", row)
+        with pytest.raises(CountsFormatError, match=message):
+            load_counts(write_file(tmp_path, bad))
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(CountsFormatError, match="header"):
             load_counts(write_file(tmp_path, "a,b,c\n1,2,3\n"))
@@ -153,6 +168,15 @@ class TestSynthesizeCounts:
         alice, bob = qcore.mub_settings(2)
         with pytest.raises(ValueError, match="total_per_setting must be finite and > 0"):
             synthesize_counts(0.9, alice, bob, total)
+
+    def test_rejects_a_total_past_the_largest_exact_count(self):
+        # 1e300 warned "invalid value encountered in cast" without a seed and
+        # raised numpy's "lam value too large" with one
+        alice, bob = qcore.mub_settings(2)
+        for seed in (None, 1):
+            for total in (2.0 ** 53, 1e300):
+                with pytest.raises(ValueError, match="total_per_setting .* below 2\\*\\*53"):
+                    synthesize_counts(0.9, alice, bob, total, seed=seed)
 
 
 class TestCountsToTable:
@@ -321,13 +345,13 @@ class TestEvaluateWithErrors:
     def test_rejects_an_error_budget_that_overflows(self):
         # each setting's directions are 1e-100 from orthogonal, so the visibility
         # fit is noise over 1e-100: the bootstrap's db values overflowed and
-        # stat_err read inf beside a positive value
+        # stat_err read inf beside a positive value.  The fit is now refused
+        # before any replicate is drawn.
         alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
         bob = [np.array([1.0, 0.0, 1e-100]), np.array([1e-100, 0.0, 1.0])]
         records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
-        with pytest.raises(ValueError, match="error budget"):
-            with np.errstate(over="ignore"):
-                evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
+        with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
+            evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
 
     def test_rejects_oversized_bootstrap_before_drawing(self, monkeypatch):
         # 1e12 replicates ended in a MemoryError from rng.poisson
@@ -363,6 +387,127 @@ class TestEvaluateWithErrors:
         )
         scen = Scenario(mu=0.95991549, alpha_deg=41.7025, phi_deg=54.7386, m=2)
         assert abs(result.value - closed_form(scen, DB)) <= 5.0 * budget.total + 1e-3
+
+
+def relabelled(numbers, vectors=True):
+    """Records of a valid m = 2 dataset, renumbered (and repeated) as ``numbers``."""
+    records = synthesize_counts(0.9, *qcore.mub_settings(2, 10.0, 20.0), 1000)
+    return [
+        CountsRecord(number, records[k % 2].counts,
+                     *((records[k % 2].alice_vec, records[k % 2].bob_vec) if vectors else ()))
+        for k, number in enumerate(numbers)
+    ]
+
+
+#: Each entry point that reads a counts dataset, called on a list of records.
+DATASET_READERS = {
+    "evaluate_with_errors": lambda records, path: evaluate_with_errors(
+        records, [SHANNON], bootstrap=10, jitter_deg=0.0),
+    "fit_visibility": lambda records, path: fit_visibility(records),
+    "write_counts": lambda records, path: write_counts(records, path),
+}
+
+
+class TestDatasetRule:
+    """One rule for a counts dataset, whichever entry point reads it."""
+
+    @pytest.mark.parametrize("reader", sorted(DATASET_READERS))
+    @pytest.mark.parametrize(
+        "numbers, message",
+        [
+            # empty records failed inside numpy ("need at least one array to stack")
+            # or wrote a header alone; the repeat and the gap were read as two settings
+            ((), "no count rows found"),
+            ((1, 1), r"settings must be contiguous from 1, got \[1, 1\]"),
+            ((1, 3), r"settings must be contiguous from 1, got \[1, 3\]"),
+            ((2, 1, 2), r"settings must be contiguous from 1, got \[1, 2, 2\]"),
+        ],
+    )
+    def test_numbering(self, tmp_path, reader, numbers, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=message):
+            DATASET_READERS[reader](relabelled(numbers), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("reader", sorted(DATASET_READERS))
+    def test_directions_on_every_setting_or_none(self, tmp_path, reader):
+        full, bare = relabelled((1, 2)), relabelled((1, 2), vectors=False)
+        alice_only = [CountsRecord(rec.setting, rec.counts, rec.alice_vec) for rec in full]
+        for records in ([full[0], bare[1]], [bare[0], full[1]], alice_only):
+            with pytest.raises(ValueError, match="for both parties on every setting or on none"):
+                DATASET_READERS[reader](records, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_one_setting_evaluated_once(self):
+        # [r1, r1] reported Shannon +0.262, steerable, from one setting counted twice
+        [r1] = relabelled((1,))
+        with pytest.raises(ValueError, match="contiguous"):
+            evaluate_with_errors([r1, r1], [SHANNON], jitter_deg=0.0)
+
+    def test_records_in_any_order(self, tmp_path):
+        records = relabelled((1, 2))
+        forward = evaluate_with_errors(records, [SHANNON, DB], bootstrap=50, seed=3)
+        assert evaluate_with_errors(records[::-1], [SHANNON, DB], bootstrap=50, seed=3) == forward
+        assert fit_visibility(records[::-1]) == fit_visibility(records)
+        write_counts(records[::-1], tmp_path / "reversed.csv")
+        write_counts(records, tmp_path / "forward.csv")
+        assert (tmp_path / "reversed.csv").read_bytes() == (tmp_path / "forward.csv").read_bytes()
+
+
+def near_orthogonal(offsets, alice=None):
+    """Directions with Bob ``offsets[k]`` rad from orthogonal to Alice in setting k.
+
+    Alice measures along (z, x) by default; Bob measures along her other
+    directions, cyclically shifted and tilted towards hers, so the
+    determinant's geometry is as large as it can be while every overlap is
+    ``sin(offset)``.
+    """
+    alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])] if alice is None else alice
+    bob = alice[1:] + alice[:1]
+    bob = [math.cos(eps) * v + math.sin(eps) * u for u, v, eps in zip(alice, bob, offsets)]
+    return alice, bob
+
+
+class TestUnidentifiableFit:
+    def test_refused(self):
+        alice, bob = near_orthogonal([1e-5, 1e-5])
+        # the fit gave 972.7, was clipped to 1, and db read +0.0884, steerable,
+        # with stat_err 2.8e5
+        poisson = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        # fitted 1e5 and was certified too; the binomial variance (1 - E^2)/N is 0 here
+        perfect = [CountsRecord(k + 1, [[0, 500], [500, 0]], alice[k], bob[k]) for k in range(2)]
+        for records in (poisson, perfect):
+            with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
+                fit_visibility(records)
+            with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
+                evaluate_with_errors(records, [DB], bootstrap=100, jitter_deg=0.0)
+
+    def test_benchmark_sized_fit_accepted(self):
+        # overlaps of 0.35 and 1000 counts per setting, as in the analyze benchmark
+        alice, bob = near_orthogonal([math.asin(0.35)] * 2)
+        for mu in (0.0, 0.9):
+            records = synthesize_counts(mu, alice, bob, 1000, seed=4)
+            assert abs(fit_visibility(records) - mu) < 0.2
+
+    def test_uncorrelated_counts_never_certify_db(self):
+        # 400 datasets, fixed before the rule was written: mu = 0, m = 2 or 3, a
+        # random orientation, and Bob 1e-6 to 1e-2 rad from orthogonal to Alice
+        rng = np.random.default_rng(20261019)
+        certified = refused = 0
+        for i in range(400):
+            m = 2 + i % 2
+            frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+            offsets = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6.0, -2.0, m)
+            alice, bob = near_orthogonal(offsets, list(frame[:m]))
+            records = synthesize_counts(0.0, alice, bob, 10_000, seed=i)
+            try:
+                [(result, _)] = evaluate_with_errors(records, [DB], bootstrap=0, jitter_deg=0.0)
+            except ValueError:
+                refused += 1
+                continue
+            certified += result.steerable
+        assert certified == 0
+        assert refused > 0
 
 
 def reference_db_value(alice, bob, mu):
