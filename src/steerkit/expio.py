@@ -13,9 +13,9 @@ estimation) and must be identical on all four rows of a setting.
 Error model: the statistical error is a parametric Poisson bootstrap over the
 observed counts; the systematic error re-evaluates each criterion with Bob's
 measurement directions perturbed by Gaussian angular jitter, using a Werner
-model with the visibility fitted from the observed correlations (an
-unidentifiable fit is refused; see :func:`fit_visibility`).  The total is the
-quadrature sum of the two.
+model with the visibility fitted from the observed correlations.  The total
+is the quadrature sum of the two.  The determinant criterion is refused when
+the fit cannot be told from noise; see :func:`evaluate_with_errors`.
 """
 
 from __future__ import annotations
@@ -195,36 +195,36 @@ def load_counts(path) -> list[CountsRecord]:
     if missing:
         raise CountsFormatError(f"{path}: missing outcome rows {missing}")
     try:
-        records = [CountsRecord(m, cells[m], *vectors.get(m, (None, None))) for m in settings]
-        _dataset(records)  # the numbering
+        return _checked(
+            [CountsRecord(m, cells[m], *vectors.get(m, (None, None))) for m in settings]
+        )
     except ValueError as exc:
         raise CountsFormatError(f"{path}: {exc}") from None
-    return records
 
 
 def write_counts(records, path) -> None:
     """Write a counts dataset in setting order, in the CSV format :func:`load_counts` reads."""
-    counts, directions = _dataset(records)
+    records = _checked(records)
     with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         header = ["setting", "a", "b", "counts"]
-        if directions is not None:
+        if records[0].alice_vec is not None:
             header += list(_VECTOR_COLUMNS)
         writer.writerow(header)
-        for k, cells in enumerate(counts):
-            vectors = [f"{c:.17g}" for vecs in directions or () for c in vecs[k]]
+        for rec in records:
+            vectors = [f"{c:.17g}" for vec in (rec.alice_vec, rec.bob_vec) if vec is not None
+                       for c in vec]
             for a in (1, -1):
                 for b in (1, -1):
-                    count = int(cells[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]])
-                    writer.writerow([k + 1, f"{a:+d}", f"{b:+d}", count, *vectors])
+                    count = int(rec.counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]])
+                    writer.writerow([rec.setting, f"{a:+d}", f"{b:+d}", count, *vectors])
 
 
-def _dataset(records, vectors_needed: bool = False):
-    """The ``(m, 2, 2)`` counts and ``(alice, bob)`` directions of a dataset, checked whole.
+def _checked(records, vectors_needed: bool = False) -> list[CountsRecord]:
+    """The records in setting order, checked as one counts dataset.
 
     Settings are numbered 1..m, each once; every setting records both
-    parties' directions, ``(m, 3)`` each in setting order, or none does
-    (directions ``None``), which fails when ``vectors_needed``.
+    parties' directions or none does, which fails when ``vectors_needed``.
     """
     records = sorted(records, key=lambda rec: rec.setting)
     settings = [rec.setting for rec in records]
@@ -232,19 +232,27 @@ def _dataset(records, vectors_needed: bool = False):
         raise ValueError("no count rows found")
     if settings != list(range(1, len(settings) + 1)):
         raise ValueError(f"settings must be contiguous from 1, got {settings}")
-    pairs = [(rec.alice_vec, rec.bob_vec) for rec in records]
-    missing = {(u is None, v is None) for u, v in pairs}
+    missing = {(rec.alice_vec is None, rec.bob_vec is None) for rec in records}
     if missing not in ({(False, False)}, {(True, True)}):
         raise ValueError(
             "measurement vectors must be recorded for both parties on every setting or on none"
         )
-    directions = None if missing == {(True, True)} else tuple(map(np.array, zip(*pairs)))
-    if vectors_needed and directions is None:
+    if vectors_needed and missing == {(True, True)}:
         raise ValueError(
             "systematic jitter and the determinant criterion need measurement vectors; "
             "attach them to the counts file or the records"
         )
-    return np.array([rec.counts for rec in records]), directions
+    return records
+
+
+def _dataset(records, vectors_needed: bool = False):
+    """:func:`_checked` records as ``(m, 2, 2)`` counts and ``(alice, bob)``, ``(m, 3)`` or None."""
+    records = _checked(records, vectors_needed)
+    counts = np.array([rec.counts for rec in records])
+    if records[0].alice_vec is None:
+        return counts, None
+    return counts, (np.array([rec.alice_vec for rec in records]),
+                    np.array([rec.bob_vec for rec in records]))
 
 
 def counts_to_table(record: CountsRecord) -> JointTable:
@@ -281,36 +289,21 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
 # ---------------------------------------------------------------------------
 
 
-#: Largest standard error of an accepted visibility fit: at 1/2 the fit's
-#: one-sigma interval is as wide as the physical range [0, 1], so the counts
-#: cannot tell a separable state from the singlet along these directions.
-_MAX_FIT_ERROR = 0.5
-
-
 def fit_visibility(records) -> float:
     """Least-squares Werner visibility from the observed correlations.
 
     Minimises sum_m (E_m + mu u_m.v_m)^2 over mu, using the per-setting
-    correlations E_m and the recorded measurement directions.  Raises
-    ValueError for an unidentifiable fit, one whose standard error exceeds
-    1/2, with var(E_m) = max(1 - E_m^2, 1/N_m) / N_m for N_m counts: the
-    binomial variance, kept at least one count's worth.
+    correlations E_m and the recorded measurement directions.  The fit is not
+    clipped to [0, 1]; :func:`evaluate_with_errors` clips it and refuses the
+    determinant criterion when the fit cannot be told from noise.
     """
     counts, (alice, bob) = _dataset(records, vectors_needed=True)
-    totals = counts.sum(axis=(1, 2))
-    probs = counts / totals[:, None, None]
-    overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)]
-    mu = float(_least_squares_visibility(probs, overlaps))
-    var = np.maximum(1.0 - qcore.correlation(probs) ** 2, 1.0 / totals) / totals
-    scale = max(abs(overlap) for overlap in overlaps)  # no underflow for tiny overlaps
-    weights = (np.array(overlaps) / scale) ** 2
-    error = math.sqrt(float(weights @ var)) / float(weights.sum()) / scale
-    if not error <= _MAX_FIT_ERROR:
-        raise ValueError(
-            f"the visibility fit is unidentifiable: its standard error {error:.3g} "
-            f"exceeds {_MAX_FIT_ERROR}"
-        )
-    return mu
+    probs = counts / counts.sum(axis=(1, 2))[:, None, None]
+    return float(_least_squares_visibility(probs, _overlaps(alice, bob)))
+
+
+def _overlaps(alice, bob) -> list[float]:
+    return [float(np.dot(u, v)) for u, v in zip(alice, bob)]
 
 
 def _least_squares_visibility(probs, overlaps):
@@ -324,6 +317,48 @@ def _least_squares_visibility(probs, overlaps):
     if den == 0.0:
         raise ValueError("all measurement overlaps vanish; visibility is unidentifiable")
     return num / den
+
+
+#: How many standard errors of the fit :func:`_check_db_fit` allows for noise:
+#: a Gaussian fit strays that far with probability below 3e-7.
+_FIT_SIGMAS = 5.0
+
+
+def _fit_error(counts, overlaps) -> float:
+    """Standard error of :func:`fit_visibility`'s fit on ``(m, 2, 2)`` counts.
+
+    var(E_m) = max(1 - E_m^2, 1/N_m) / N_m for N_m counts: the binomial
+    variance, kept at least one count's worth so that a perfectly correlated
+    setting still carries an error.
+    """
+    totals = counts.sum(axis=(1, 2))
+    corr = qcore.correlation(counts / totals[:, None, None])
+    var = np.maximum(1.0 - corr ** 2, 1.0 / totals) / totals
+    scale = max(abs(overlap) for overlap in overlaps)  # no underflow for tiny overlaps
+    weights = (np.array(overlaps) / scale) ** 2
+    return math.sqrt(float(weights @ var)) / float(weights.sum()) / scale
+
+
+def _check_db_fit(criterion, fit, error, probs, alice, bob) -> None:
+    """Refuse the determinant criterion where its visibility fit cannot support it.
+
+    Raises ValueError when ``criterion`` would certify at a visibility of
+    ``_FIT_SIGMAS`` standard errors, which counts with no correlation can
+    fit, or when the fit lies that many standard errors above 1, which no
+    state along the recorded directions gives.
+    """
+    noise = min(_FIT_SIGMAS * error, 1.0)
+    if criterion_values([criterion], probs, alice, bob, noise)[0, 0] > 0.0:
+        raise ValueError(
+            f"the visibility fit is unidentifiable: its standard error is {error:.3g}, "
+            f"and db certifies below {_FIT_SIGMAS:g} standard errors, a visibility "
+            f"that uncorrelated counts can fit"
+        )
+    if fit - _FIT_SIGMAS * error > 1.0:
+        raise ValueError(
+            f"the visibility fit {fit:.6g} lies over {_FIT_SIGMAS:g} standard errors "
+            f"({error:.3g}) above 1: the counts contradict the recorded directions"
+        )
 
 
 #: Replicates normalised and evaluated at a time: bounds the criteria's
@@ -411,7 +446,8 @@ def evaluate_with_errors(
 
     Every input check runs before the first replicate: the point estimate
     goes through the same estimators, which reject a settings count they do
-    not support.
+    not support.  The determinant criterion is refused where its visibility
+    fit cannot support it; see :func:`_check_db_fit`.
     """
     bootstrap = qcore.as_int("bootstrap replicate count", bootstrap)
     seed = qcore.as_int("seed", seed)
@@ -422,11 +458,16 @@ def evaluate_with_errors(
     if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
     records, criteria = list(records), list(criteria)
-    needs_fit = any(c.kind == "db" for c in criteria) or jitter_deg > 0.0
+    dbs = [c for c in criteria if c.kind == "db"]
+    needs_fit = bool(dbs) or jitter_deg > 0.0
     raw, directions = _dataset(records, vectors_needed=needs_fit)  # (m, 2, 2) counts
     alice, bob = directions or (None, None)
     observed = raw / raw.sum(axis=(1, 2))[:, None, None]
-    mu_fit = min(max(fit_visibility(records), 0.0), 1.0) if needs_fit else None
+    overlaps = _overlaps(alice, bob) if needs_fit else None
+    fit = fit_visibility(records) if needs_fit else None
+    if dbs:
+        _check_db_fit(dbs[0], fit, _fit_error(raw, overlaps), observed[None], alice, bob)
+    mu_fit = None if fit is None else min(max(fit, 0.0), 1.0)
     point = _evaluate_criterion(criteria, observed[None], alice, bob, mu_fit)
 
     rng = np.random.default_rng(seed)
@@ -435,7 +476,6 @@ def evaluate_with_errors(
 
     if bootstrap > 0:
         draws = rng.poisson(lam=raw, size=(bootstrap,) + raw.shape)
-        overlaps = [float(np.dot(u, v)) for u, v in zip(alice, bob)] if needs_fit else None
         stat_errors = _spread(_replicate_values(draws, criteria, alice, bob, overlaps))
 
     if jitter_deg > 0.0 and bootstrap > 0:

@@ -14,6 +14,7 @@ from steerkit.criteria import (
     Scenario,
     closed_form,
     db_bound,
+    db_steering,
     renyi_steering,
     tsallis_steering,
 )
@@ -343,15 +344,17 @@ class TestEvaluateWithErrors:
             evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, seed=seed)
 
     def test_rejects_an_error_budget_that_overflows(self):
-        # each setting's directions are 1e-100 from orthogonal, so the visibility
-        # fit is noise over 1e-100: the bootstrap's db values overflowed and
-        # stat_err read inf beside a positive value.  The fit is now refused
-        # before any replicate is drawn.
+        # Bob 1e-100 from orthogonal, with |(a1 x a2).(b1 x b2)| = 0.4 below the
+        # separable bound 1/2, so db cannot certify even at visibility 1 and is not
+        # refused; each replicate's fit is noise over 1e-100, and the spread of
+        # the bootstrap's db values overflows
         alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-        bob = [np.array([1.0, 0.0, 1e-100]), np.array([1e-100, 0.0, 1.0])]
+        side, top = math.sqrt(0.6), math.sqrt(0.4)
+        bob = [np.array([top, side, 1e-100]), np.array([1e-100, side, top])]
         records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
-        with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
-            evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
+        with pytest.raises(ValueError, match="error budget overflows"):
+            with np.errstate(over="ignore"):
+                evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
 
     def test_rejects_oversized_bootstrap_before_drawing(self, monkeypatch):
         # 1e12 replicates ended in a MemoryError from rng.poisson
@@ -469,7 +472,7 @@ def near_orthogonal(offsets, alice=None):
 
 
 class TestUnidentifiableFit:
-    def test_refused(self):
+    def test_db_refused(self):
         alice, bob = near_orthogonal([1e-5, 1e-5])
         # the fit gave 972.7, was clipped to 1, and db read +0.0884, steerable,
         # with stat_err 2.8e5
@@ -478,26 +481,44 @@ class TestUnidentifiableFit:
         perfect = [CountsRecord(k + 1, [[0, 500], [500, 0]], alice[k], bob[k]) for k in range(2)]
         for records in (poisson, perfect):
             with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
-                fit_visibility(records)
-            with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
-                evaluate_with_errors(records, [DB], bootstrap=100, jitter_deg=0.0)
+                evaluate_with_errors(records, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
+
+    def test_db_refused_on_a_fit_far_above_one(self):
+        # Bob 1e-2 from orthogonal: the fit is 100.0 with a standard error of 3.5e-5,
+        # was clipped to 1, and db read +0.0884, steerable
+        alice, bob = near_orthogonal([1e-2, 1e-2])
+        records = [CountsRecord(k + 1, [[0, 10**6], [10**6, 0]], alice[k], bob[k])
+                   for k in range(2)]
+        with pytest.raises(ValueError, match="counts contradict the recorded directions"):
+            evaluate_with_errors(records, [DB], bootstrap=100, jitter_deg=0.0)
+
+    def test_entropic_criteria_still_evaluated(self):
+        # their values and errors do not rest on the fit's precision; the jitter's
+        # Werner model takes the clipped fit
+        alice, bob = near_orthogonal([1e-5, 1e-5])
+        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        [(result, budget)] = evaluate_with_errors(records, [SHANNON], bootstrap=100)
+        assert math.isfinite(result.value) and math.isfinite(budget.total)
+        assert fit_visibility(records) > 100.0  # the fit itself is not refused
 
     def test_benchmark_sized_fit_accepted(self):
         # overlaps of 0.35 and 1000 counts per setting, as in the analyze benchmark
         alice, bob = near_orthogonal([math.asin(0.35)] * 2)
-        for mu in (0.0, 0.9):
+        for mu in (0.0, 0.9, 1.0):
             records = synthesize_counts(mu, alice, bob, 1000, seed=4)
             assert abs(fit_visibility(records) - mu) < 0.2
+            evaluate_with_errors(records, [DB], bootstrap=100)
 
     def test_uncorrelated_counts_never_certify_db(self):
-        # 400 datasets, fixed before the rule was written: mu = 0, m = 2 or 3, a
-        # random orientation, and Bob 1e-6 to 1e-2 rad from orthogonal to Alice
-        rng = np.random.default_rng(20261019)
-        certified = refused = 0
+        # 400 datasets, fixed before the rule was run: mu = 0, m = 2 or 3, a random
+        # orientation, and Bob 1e-4 to 1 rad from orthogonal to Alice, so that
+        # fits are refused, accepted, and in the band between
+        rng = np.random.default_rng(20261020)
+        certified = refused = reachable = 0
         for i in range(400):
             m = 2 + i % 2
             frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
-            offsets = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6.0, -2.0, m)
+            offsets = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-4.0, 0.0, m)
             alice, bob = near_orthogonal(offsets, list(frame[:m]))
             records = synthesize_counts(0.0, alice, bob, 10_000, seed=i)
             try:
@@ -506,8 +527,11 @@ class TestUnidentifiableFit:
                 refused += 1
                 continue
             certified += result.steerable
+            # accepted where db certifies at visibility 1: the fit alone stands in the way
+            reachable += db_steering(alice, bob, 1.0).steerable
         assert certified == 0
         assert refused > 0
+        assert reachable > 0
 
 
 def reference_db_value(alice, bob, mu):
