@@ -8,7 +8,8 @@ outputs are deterministic given the flags (and ``--seed`` where sampling is
 involved).
 
 A config file (``--config FILE``, ``key = value`` lines, ``#`` comments) may
-supply any long flag of the chosen subcommand; explicit flags override it.
+supply any long flag of the chosen subcommand, each value read as that flag's
+value; explicit flags override it.
 Relative ``--out`` paths are resolved against ``$STEERKIT_OUTDIR`` when set.
 
 :func:`main` may be called any number of times in one process.  It builds
@@ -365,13 +366,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ValueError(f"{path}:{line_no}: empty key")
-        flag = f"--{key}"
-        if value.lower() == "true":
-            injected.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
-            injected.extend([flag, value])
+        injected.extend([f"--{key}", value])
     # config first, user flags after: argparse keeps the last occurrence
     return rest[:1] + injected + rest[1:]
 

@@ -37,6 +37,8 @@ def db_bound(m: int, d_a: int = 2) -> float:
         raise ValueError(f"need at least two settings, got m = {m}")
     if qcore.as_int("untrusted-side dimension", d_a) < 2:
         raise ValueError(f"untrusted-side dimension must be >= 2, got {d_a}")
+    if max(m, d_a) >= 2 ** 53:  # before the float arithmetic, which overflows
+        raise ValueError(f"m and d_a must lie below 2**53, got m = {m}, d_a = {d_a}")
     return (1.0 / math.sqrt(d_a)) * ((math.sqrt(2.0 * d_a) - 1.0) / (m * math.sqrt(d_a))) ** m
 
 
@@ -138,13 +140,6 @@ class SteeringResult:
         return self.value > 0.0
 
 
-def _check_angles(alpha_deg: float, phi_deg: float) -> None:
-    if not (math.isfinite(alpha_deg) and math.isfinite(phi_deg)):
-        raise ValueError(
-            f"misalignment angles must be finite, got alpha = {alpha_deg}, phi = {phi_deg}"
-        )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A Werner-state measurement scenario (state + measurement geometry)."""
@@ -159,7 +154,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", qcore.as_visibility(self.mu))
-        _check_angles(self.alpha_deg, self.phi_deg)
+        qcore.as_angles(self.alpha_deg, self.phi_deg)
         qcore.as_settings_count(self.m)
         if self.mode not in ("mub", "nom", "explicit"):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
@@ -252,11 +247,30 @@ def criterion_results(criteria, probs, alice, bob, mu) -> list[list[SteeringResu
     return [[SteeringResult(*label, value) for label, value in zip(labels, row)] for row in values]
 
 
+def check_bob_orthogonal(criteria, bob) -> None:
+    """ValueError naming the largest overlap unless Bob's directions are pairwise orthogonal.
+
+    Only entropic criteria are checked: their built-in bounds hold for
+    orthogonal qubit measurements.  ``bob`` of None (no recorded directions)
+    is taken to be orthogonal.
+    """
+    if bob is None or all(criterion.kind == "db" for criterion in criteria):
+        return
+    overlap, i, j = max((abs(float(np.dot(bob[i], bob[j]))), i + 1, j + 1)
+                        for i in range(len(bob)) for j in range(i + 1, len(bob)))
+    if overlap > qcore.ATOL:
+        raise ValueError(
+            f"entropic criteria need Bob's directions to be pairwise orthogonal, "
+            f"got |b{i}.b{j}| = {overlap:.6g}"
+        )
+
+
 def tsallis_steering(tables, q: float) -> SteeringResult:
     """Tsallis steering parameter: uncertainty bound minus summed conditional terms.
 
     The bound is the built-in one for len(tables) orthogonal settings (2 or
-    3).  ``q = 1`` gives the Shannon criterion.
+    3): the tables carry no directions, so Bob is taken to have measured
+    along orthogonal ones.  ``q = 1`` gives the Shannon criterion.
     """
     return _on_tables(Criterion("tsallis", q=q), tables)
 
@@ -266,7 +280,8 @@ def renyi_steering(tables, r: float, s: float) -> SteeringResult:
 
     Only defined for exactly two settings, with conjugate orders
     1/r + 1/s = 2 and r, s >= 1/2.  Table 1 is evaluated at order ``r``,
-    table 2 at order ``s``.
+    table 2 at order ``s``.  The bound ln 2 is the one for orthogonal
+    directions, which Bob is taken to have measured along.
     """
     return _on_tables(Criterion("renyi", r=r, s=s), tables)
 
@@ -296,10 +311,15 @@ def db_steering(alice, bob, mu: float) -> SteeringResult:
 
 
 def evaluate(scenario: Scenario, criterion: Criterion) -> SteeringResult:
-    """Evaluate a criterion on a scenario through the measurement pipeline."""
+    """Evaluate a criterion on a scenario through the measurement pipeline.
+
+    An entropic criterion needs Bob's directions orthogonal; see :func:`check_bob_orthogonal`.
+    """
     alice, bob = (np.array(vecs) for vecs in scenario.settings())
     probs = qcore.werner_probs(scenario.mu, alice, bob)[None]
-    return criterion_results([criterion], probs, alice, bob, scenario.mu)[0][0]
+    result = criterion_results([criterion], probs, alice, bob, scenario.mu)[0][0]
+    check_bob_orthogonal([criterion], bob)  # after the settings checks of the estimators
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +411,7 @@ def critical_mu(alpha_deg: float, phi_deg: float) -> float:
     undetectable at any physical visibility.  Requires finite angles and
     cos(alpha) > 0.
     """
-    _check_angles(alpha_deg, phi_deg)
+    qcore.as_angles(alpha_deg, phi_deg)
     cos_a = math.cos(math.radians(alpha_deg))
     if cos_a <= 1e-12:
         raise ValueError(f"critical visibility needs cos(alpha) > 0, got alpha = {alpha_deg} deg")

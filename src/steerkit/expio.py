@@ -1,6 +1,6 @@
 """Coincidence-count ingestion and criterion evaluation with error budgets.
 
-Counts file format (CSV, header required)::
+Counts file format (CSV in UTF-8, header required)::
 
     setting,a,b,counts[,ax,ay,az,bx,by,bz]
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .criteria import SteeringResult, criterion_results, criterion_values
+from .criteria import SteeringResult, check_bob_orthogonal, criterion_results, criterion_values
 # not called here: perfbench/tracing.py patches these names on this module
 from .criteria import db_steering, renyi_steering, tsallis_steering  # noqa: F401
 from .qcore import JointTable
@@ -84,17 +84,61 @@ class ErrorBudget:
         return math.hypot(self.stat, self.sys)
 
 
-_OUTCOME_INDEX = {1: 0, -1: 1}
-_VECTOR_COLUMNS = ("ax", "ay", "az", "bx", "by", "bz")
+#: The cells of a 2x2 counts table, (a, b) in row-major order.
+_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _parse_outcome(text: str, line_no: int, column: str) -> int:
-    text = text.strip()
-    if text in ("+1", "1"):
-        return 1
-    if text == "-1":
-        return -1
-    raise CountsFormatError(f"line {line_no}: {column} must be +1 or -1, got {text!r}")
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _outcome(text: str) -> int:
+    if text.strip() not in ("+1", "1", "-1"):
+        raise ValueError(f"must be +1 or -1, got {text.strip()!r}")
+    return int(text)
+
+
+def _count(text: str) -> int:
+    count = _integer(text)
+    if not 0 <= count < 2 ** 53:  # before the int64 cell, which overflows past 2**63
+        raise ValueError(f"must lie in [0, 2**53), got {count}")
+    return count
+
+
+def _component(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+#: The columns of a counts file in order, each ``(name, parser)``; a parser
+#: raises ValueError(reason) and the reader prefixes ``line N: name``.  A
+#: vector column's header is the last word of its name.
+_COLUMNS = (("setting", _integer), ("a", _outcome), ("b", _outcome), ("counts", _count))
+_VECTOR_COLUMNS = tuple((f"vector component {c}", _component) for c in "ax ay az bx by bz".split())
+
+
+def _header(columns) -> list[str]:
+    return [name.split()[-1] for name, _ in columns]
+
+
+def _text_lines(stream):
+    """The lines of a binary stream as UTF-8 text; a bad byte raises CountsFormatError."""
+    line_no = 0
+    for raw in stream:
+        for piece in raw.splitlines(keepends=True):  # \r, \n and \r\n, as newline="" splits
+            line_no += 1
+            try:
+                yield piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CountsFormatError(f"line {line_no}: {exc}") from None
 
 
 def _csv_rows(stream):
@@ -107,97 +151,56 @@ def _csv_rows(stream):
 
 
 def load_counts(path) -> list[CountsRecord]:
-    """Parse and validate a counts CSV; see the module docstring for the format."""
-    with open(path, newline="") as stream:
-        reader = _csv_rows(stream)
+    """Parse and validate a UTF-8 counts CSV; see the module docstring for the format."""
+    with open(path, "rb") as stream:
+        reader = _csv_rows(_text_lines(stream))
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CountsFormatError(f"{path}: empty counts file") from None
-        header = [h.strip() for h in header]
-        if header[:4] != ["setting", "a", "b", "counts"]:
+        if header[:4] != _header(_COLUMNS):
             raise CountsFormatError(
                 f"{path}: header must start with setting,a,b,counts, got {','.join(header)}"
             )
-        has_vectors = len(header) > 4
-        if has_vectors and tuple(header[4:]) != _VECTOR_COLUMNS:
+        columns = _COLUMNS + (_VECTOR_COLUMNS if len(header) > 4 else ())
+        if header[4:] != _header(columns)[4:]:
             raise CountsFormatError(
-                f"{path}: optional vector columns must be {','.join(_VECTOR_COLUMNS)}"
+                f"{path}: optional vector columns must be {','.join(_header(_VECTOR_COLUMNS))}"
             )
 
-        cells: dict[int, np.ndarray] = {}
-        seen: set[tuple[int, int, int]] = set()
-        vectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        settings: dict[int, tuple[dict, list]] = {}  # setting -> ({(a, b): count}, vector)
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            expected = 10 if has_vectors else 4
-            if len(row) != expected:
+            if len(row) != len(columns):
                 raise CountsFormatError(
-                    f"line {line_no}: expected {expected} fields, got {len(row)}"
+                    f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
                 )
-            try:
-                setting = int(row[0])
-            except ValueError:
-                raise CountsFormatError(
-                    f"line {line_no}: setting must be an integer, got {row[0]!r}"
-                ) from None
-            a = _parse_outcome(row[1], line_no, "a")
-            b = _parse_outcome(row[2], line_no, "b")
-            try:
-                count = int(row[3])
-            except ValueError:
-                raise CountsFormatError(
-                    f"line {line_no}: counts must be an integer, got {row[3]!r}"
-                ) from None
-            if not 0 <= count < 2 ** 53:  # before the int64 cell, which overflows past 2**63
-                raise CountsFormatError(
-                    f"line {line_no}: counts must lie in [0, 2**53), got {count}"
-                )
-            key = (setting, a, b)
-            if key in seen:
+            values = []
+            for (name, parse), text in zip(columns, row):
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise CountsFormatError(f"line {line_no}: {name} {exc}") from None
+            setting, a, b, count, *vector = values
+            cells, first_vector = settings.setdefault(setting, ({}, vector))
+            if (a, b) in cells:
                 raise CountsFormatError(
                     f"line {line_no}: duplicate entry for setting {setting}, outcomes ({a}, {b})"
                 )
-            seen.add(key)
-            cells.setdefault(setting, np.zeros((2, 2), dtype=np.int64))
-            cells[setting][_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]] = count
-            if has_vectors:
-                try:
-                    values = [float(c) for c in row[4:]]
-                except ValueError:
-                    raise CountsFormatError(
-                        f"line {line_no}: vector components must be numbers"
-                    ) from None
-                for column, value in zip(_VECTOR_COLUMNS, values):
-                    if not math.isfinite(value):
-                        raise CountsFormatError(
-                            f"line {line_no}: vector component {column} must be finite, got {value}"
-                        )
-                pair = (np.array(values[:3]), np.array(values[3:]))
-                if setting in vectors:
-                    prev = vectors[setting]
-                    if not (np.allclose(prev[0], pair[0]) and np.allclose(prev[1], pair[1])):
-                        raise CountsFormatError(
-                            f"line {line_no}: vectors differ within setting {setting}"
-                        )
-                else:
-                    vectors[setting] = pair
+            if not np.allclose(first_vector, vector):
+                raise CountsFormatError(f"line {line_no}: vectors differ within setting {setting}")
+            cells[a, b] = count
 
-    settings = sorted(cells)
-    missing = [
-        (m, a, b)
-        for m in settings
-        for a in (1, -1)
-        for b in (1, -1)
-        if (m, a, b) not in seen
-    ]
+    missing = [(m, *ab) for m in sorted(settings) for ab in _OUTCOMES if ab not in settings[m][0]]
     if missing:
         raise CountsFormatError(f"{path}: missing outcome rows {missing}")
     try:
-        return _checked(
-            [CountsRecord(m, cells[m], *vectors.get(m, (None, None))) for m in settings]
-        )
+        return _checked([
+            CountsRecord(m, np.reshape([cells[ab] for ab in _OUTCOMES], (2, 2)),
+                         *(np.reshape(vector, (2, 3)) if vector else (None, None)))
+            for m, (cells, vector) in sorted(settings.items())
+        ])
     except ValueError as exc:
         raise CountsFormatError(f"{path}: {exc}") from None
 
@@ -205,19 +208,15 @@ def load_counts(path) -> list[CountsRecord]:
 def write_counts(records, path) -> None:
     """Write a counts dataset in setting order, in the CSV format :func:`load_counts` reads."""
     records = _checked(records)
+    columns = _COLUMNS + (_VECTOR_COLUMNS if records[0].alice_vec is not None else ())
     with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        header = ["setting", "a", "b", "counts"]
-        if records[0].alice_vec is not None:
-            header += list(_VECTOR_COLUMNS)
-        writer.writerow(header)
+        writer.writerow(_header(columns))
         for rec in records:
             vectors = [f"{c:.17g}" for vec in (rec.alice_vec, rec.bob_vec) if vec is not None
                        for c in vec]
-            for a in (1, -1):
-                for b in (1, -1):
-                    count = int(rec.counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b]])
-                    writer.writerow([rec.setting, f"{a:+d}", f"{b:+d}", count, *vectors])
+            for (a, b), count in zip(_OUTCOMES, rec.counts.ravel().tolist()):
+                writer.writerow([rec.setting, f"{a:+d}", f"{b:+d}", count, *vectors])
 
 
 def _checked(records, vectors_needed: bool = False) -> list[CountsRecord]:
@@ -447,7 +446,10 @@ def evaluate_with_errors(
     Every input check runs before the first replicate: the point estimate
     goes through the same estimators, which reject a settings count they do
     not support.  The determinant criterion is refused where its visibility
-    fit cannot support it; see :func:`_check_db_fit`.
+    fit cannot support it; see :func:`_check_db_fit`.  Entropic criteria are
+    refused unless Bob's recorded directions are orthogonal; records without
+    directions are taken to have them (see
+    :func:`~steerkit.criteria.check_bob_orthogonal`).
     """
     bootstrap = qcore.as_int("bootstrap replicate count", bootstrap)
     seed = qcore.as_int("seed", seed)
@@ -469,6 +471,7 @@ def evaluate_with_errors(
         _check_db_fit(dbs[0], fit, _fit_error(raw, overlaps), observed[None], alice, bob)
     mu_fit = None if fit is None else min(max(fit, 0.0), 1.0)
     point = _evaluate_criterion(criteria, observed[None], alice, bob, mu_fit)
+    check_bob_orthogonal(criteria, bob)  # the recorded directions, after the settings checks
 
     rng = np.random.default_rng(seed)
     stat_errors = [0.0] * len(criteria)

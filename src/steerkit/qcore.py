@@ -70,6 +70,16 @@ def as_settings_count(m) -> int:
     return m
 
 
+def as_angles(alpha_deg, phi_deg) -> tuple[float, float]:
+    """The misalignment angles as floats; ValueError unless both are finite."""
+    alpha_deg, phi_deg = float(alpha_deg), float(phi_deg)
+    if not (math.isfinite(alpha_deg) and math.isfinite(phi_deg)):
+        raise ValueError(
+            f"misalignment angles must be finite, got alpha = {alpha_deg}, phi = {phi_deg}"
+        )
+    return alpha_deg, phi_deg
+
+
 def dot(x, y) -> np.ndarray:
     """u.v over the last axis of ``(..., 3)`` arrays, each rounded as ``np.dot`` rounds it."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
@@ -191,8 +201,9 @@ def mub_settings(m: int, alpha_deg: float = 0.0, phi_deg: float = 0.0):
     Returns ``(alice, bob)``, each a tuple of unit vectors.
     """
     as_settings_count(m)
-    alpha = np.radians(float(alpha_deg))
-    phi = np.radians(float(phi_deg))
+    alpha_deg, phi_deg = as_angles(alpha_deg, phi_deg)
+    alpha = np.radians(alpha_deg)
+    phi = np.radians(phi_deg)
     x_tilted = np.cos(phi) * X_AXIS + np.sin(phi) * Y_AXIS
     a_first = np.cos(alpha) * Z_AXIS + np.sin(alpha) * x_tilted
     a_last = -np.sin(alpha) * Z_AXIS + np.cos(alpha) * x_tilted

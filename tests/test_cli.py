@@ -516,6 +516,14 @@ def four_setting_counts(path):
          "Renyi orders must be >= 1/2, got (0.3, inf)"),
         (["threshold", "--criterion", "renyi", "--rs", "nan,1", "--mu", "0.9733"],
          "Renyi orders must be >= 1/2, got (nan, 1.0)"),
+        # raised OverflowError: int too large to convert to float, with exit code 1
+        (["bound", "--criterion", "db", "--m", "1" + "0" * 400],
+         "m and d_a must lie below 2**53, got m = 1000"),
+        (["bound", "--criterion", "db", "--da", "1" + "0" * 400],
+         "m and d_a must lie below 2**53, got m = 2, d_a = 1000"),
+        # warned in numpy, then named a NaN direction
+        (["analyze", "--input", "BARE_COUNTS", "--mode", "mub", "--alpha", "inf"],
+         "misalignment angles must be finite, got alpha = inf, phi = 0.0"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):
@@ -589,6 +597,15 @@ def test_fuzzed_counts_files_exit_0_2_or_3(content, jitter):
     assert (code == 0) == (err.getvalue() == "")
 
 
+def test_counts_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    # exited 2 with the codec's message and no line number
+    path = bare_counts(tmp_path / "counts.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n2,", b"\n2\xff,", 1))
+    assert cli.main(["analyze", "--input", str(path), "--jitter", "0", "--criteria", "shannon"]) == 3
+    assert capsys.readouterr().err == (
+        "steerkit: line 6: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte\n")
+
+
 class TestBoundCommand:
     def test_db_bounds(self):
         result = run_cli("bound", "--criterion", "db", "--m", "2", "--da", "2")
@@ -625,6 +642,23 @@ class TestCliInfrastructure:
         result = run_cli("sweep", "--m", "2", "--config", str(config), "--mu", "0.5")
         assert result.returncode == 0
         assert result.stdout.strip().split("\n")[1].startswith("0.5,")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # dropped: sweep ran with the default mode and exited 0
+            ("mode = false", "argument --mode: invalid choice: 'false'"),
+            # became a bare --format: "expected one argument"
+            ("format = true", "argument --format: invalid choice: 'true'"),
+        ],
+    )
+    def test_config_values_are_flag_values(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"mu = 0.9\nalpha-grid = 0:20:10\n{line}\n")
+        assert cli.main(["sweep", "--m", "2", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("steerkit sweep: error: " + message)
 
     def test_outdir_env_var(self, tmp_path):
         result = run_cli(
@@ -818,3 +852,63 @@ def test_fuzzed_argv_exit_cleanly_and_leave_no_state(tmp_path, capsys, monkeypat
     for name, argv in probe.items():
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == before[name]
+
+
+#: Numeric flag values past float range, non-finite, at the edges of float range.
+EXTREME_VALUES = ("1" + "0" * 400, "-1" + "0" * 400, "inf", "-inf", "nan", "-1", "0", "5e-324",
+                  "1e308")
+
+
+def numeric(*ordinary):
+    """A numeric flag value: one of ``ordinary``, or one time in six an extreme one."""
+    return st.integers(0, 5).flatmap(
+        lambda k: st.sampled_from(EXTREME_VALUES if k == 0 else ordinary))
+
+
+@st.composite
+def numeric_argv(draw):
+    """argv of bound, threshold, sweep, mc or analyze with every numeric flag drawn."""
+    command = draw(st.sampled_from(("bound", "threshold", "sweep", "mc", "analyze")))
+    if command == "bound":
+        return ["bound", "--criterion", draw(st.sampled_from(("db", "tsallis", "renyi2"))),
+                "--m", draw(numeric("2", "3")), "--da", draw(numeric("2", "4")),
+                "--q", draw(numeric("2", "1.5"))]
+    if command == "threshold":
+        return ["threshold", "--criterion",
+                draw(st.sampled_from(("shannon", "tsallis", "renyi", "db"))),
+                "--mu", draw(numeric("0.9", "0.97")), "--phi", draw(numeric("0", "20")),
+                "--q", draw(numeric("2", "3")), "--m", draw(numeric("2", "3"))]
+    if command == "sweep":
+        return ["sweep", "--m", draw(numeric("2", "3")), "--mu", draw(numeric("0.9")),
+                "--phi", draw(numeric("0", "30")), "--alpha-grid", draw(numeric("0:90:30", "10")),
+                "--criteria", "shannon,tsallis2,db"]
+    if command == "mc":  # at most 2,000 samples, whatever is drawn
+        return ["mc", "--m", draw(numeric("2", "3")),
+                "--class", draw(st.sampled_from(("rom", "crm"))),
+                "--mu-grid", draw(numeric("0.9", "0.8:1:0.1")),
+                "--samples", draw(numeric("1000", "2000")),
+                "--bound-factor", draw(numeric("1", "0.5")), "--seed", draw(numeric("0", "7")),
+                "--workers", draw(numeric("1", "2"))]
+    return ["analyze", "--input", "COUNTS", "--mode", "mub", "--criteria", "shannon,tsallis2,db",
+            "--alpha", draw(numeric("0", "10")), "--phi", draw(numeric("0", "20")),
+            "--bootstrap", draw(numeric("0", "5")), "--jitter", draw(numeric("0", "0.1")),
+            "--seed", draw(numeric("0", "3"))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=numeric_argv())
+def test_numeric_flags_exit_0_2_or_3(argv):
+    # bound --m 10**400 raised OverflowError, and analyze --mode mub --alpha inf
+    # warned in numpy; a RuntimeWarning fails the test suite
+    with tempfile.TemporaryDirectory() as tmp:
+        path = bare_counts(os.path.join(tmp, "counts.csv"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(path) if token == "COUNTS" else token for token in argv])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:  # one message: main's "steerkit: ..." or argparse's usage and "steerkit CMD: error: ..."
+        assert [line for line in lines if line.startswith("steerkit")] == lines[-1:]
+        assert lines[-1].startswith(("steerkit: ", f"steerkit {argv[0]}: error: "))

@@ -316,6 +316,12 @@ class TestDeterminantCriterion:
         with pytest.raises(ValueError, match="must be an integer"):
             db_bound(m, d_a)
 
+    @pytest.mark.parametrize("m, d_a", [(10 ** 400, 2), (2, 10 ** 400), (2 ** 53, 2)])
+    def test_bound_rejects_integers_past_float_arithmetic(self, m, d_a):
+        # 10**400 raised OverflowError: int too large to convert to float
+        with pytest.raises(ValueError, match="m and d_a must lie below 2"):
+            db_bound(m, d_a)
+
     def test_bound_takes_numpy_integers(self):
         assert db_bound(np.int64(3), np.int32(2)) == db_bound(3, 2)
 
@@ -489,6 +495,33 @@ class TestClosedForms:
             assert np.isclose(
                 closed_form(scen, Criterion("db")), -1.0 / (8.0 * math.sqrt(2.0)), atol=1e-14
             )
+
+
+class TestBobOrthogonality:
+    """Entropic criteria use the bound for orthogonal measurements, so they need Bob's to be."""
+
+    def test_one_repeated_setting_is_refused(self):
+        # Shannon +0.459, Tsallis-2 +0.402 and Renyi +0.396 from one setting, which
+        # always has a local model; db gave -0.088 and still does
+        z = np.array([0.0, 0.0, 1.0])
+        scenario = Scenario(mu=0.95, m=2, mode="explicit", alice=(z, z), bob=(z, z))
+        for criterion in (Criterion("shannon"), Criterion("tsallis", q=2.0), Criterion("renyi")):
+            with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 1$"):
+                evaluate(scenario, criterion)
+        assert abs(evaluate(scenario, Criterion("db")).value + 0.0884) < 1e-4
+
+    def test_largest_overlap_named(self):
+        bob = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+               np.array([0.0, math.sin(0.1), math.cos(0.1)])]
+        scenario = Scenario(mu=0.9, m=3, mode="explicit", alice=bob, bob=bob)
+        with pytest.raises(ValueError, match=r"got \|b1.b3\| = 0.995004$"):
+            evaluate(scenario, Criterion("shannon"))
+
+    def test_orthogonal_to_within_atol_accepted(self):
+        alice, bob = qcore.mub_settings(3, 10.0, 20.0)
+        bob = [np.array(v) @ random_rotation(np.random.default_rng(5)).T for v in bob]
+        scenario = Scenario(mu=0.9, m=3, mode="explicit", alice=alice, bob=bob)
+        assert math.isfinite(evaluate(scenario, Criterion("shannon")).value)
 
 
 class TestCriticalSolvers:

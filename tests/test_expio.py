@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steerkit import expio, qcore
@@ -13,6 +13,7 @@ from steerkit.criteria import (
     Criterion,
     Scenario,
     closed_form,
+    criterion_values,
     db_bound,
     db_steering,
     renyi_steering,
@@ -111,6 +112,42 @@ class TestLoadCounts:
         bad = WELL_FORMED.replace("2,+1,+1,90", row)
         with pytest.raises(CountsFormatError, match=message):
             load_counts(write_file(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # raised the codec's UnicodeDecodeError without a line number: exit 2
+            (WELL_FORMED.encode().replace(b"1,-1,+1,502", b"1,-1,+1,5\xff2"),
+             "line 4: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+            (b"setting,a,b,co\xe9nts\n", "line 1: 'utf-8' codec can't decode byte 0xe9"),
+            (WELL_FORMED.encode().replace(b"\n", b"\r")[:-1] + b"\xc3", "line 9: 'utf-8' codec"),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, content, message):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(content)
+        with pytest.raises(CountsFormatError, match=message):
+            load_counts(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_endings(self, tmp_path, newline):
+        # the file is split into lines as text mode with newline="" splits it
+        path = tmp_path / "counts.csv"
+        path.write_bytes(WELL_FORMED.replace("\n", newline).encode())
+        assert [rec.counts.tolist() for rec in load_counts(path)] == [
+            rec.counts.tolist() for rec in load_counts(write_file(tmp_path, WELL_FORMED, "lf.csv"))]
+
+    def test_each_vector_component_named(self, tmp_path):
+        # read "vector components must be numbers", whichever of the six it was
+        alice, bob = qcore.nom_settings(2)
+        path = tmp_path / "synthetic.csv"
+        write_counts(synthesize_counts(0.9, alice, bob, 1000), path)
+        lines = path.read_text().split("\n")
+        lines[3] = ",".join(lines[3].split(",")[:8] + ["x", "0"])
+        path.write_text("\n".join(lines))
+        message = "line 4: vector component by must be a number, got 'x'$"
+        with pytest.raises(CountsFormatError, match=message):
+            load_counts(path)
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(CountsFormatError, match="header"):
@@ -492,14 +529,29 @@ class TestUnidentifiableFit:
         with pytest.raises(ValueError, match="counts contradict the recorded directions"):
             evaluate_with_errors(records, [DB], bootstrap=100, jitter_deg=0.0)
 
-    def test_entropic_criteria_still_evaluated(self):
-        # their values and errors do not rest on the fit's precision; the jitter's
-        # Werner model takes the clipped fit
+    def test_entropic_criteria_refused_on_these_directions(self):
+        # near_orthogonal tilts Bob's two directions towards each other, so they
+        # overlap by sin(2e-5), where the orthogonal bound does not hold
         alice, bob = near_orthogonal([1e-5, 1e-5])
         records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 2e-05"):
+            evaluate_with_errors(records, [SHANNON], bootstrap=100)
+
+    def test_entropic_criteria_still_evaluated(self):
+        # Bob along x' = cos(e) x + sin(e) z and z' = cos(e) z - sin(e) x, orthogonal
+        # to each other and each 1e-5 rad from orthogonal to Alice's (z, x): db is
+        # refused, while the entropic values and errors do not rest on the fit's
+        # precision; the jitter's Werner model takes the clipped fit
+        eps = 1e-5
+        alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+        bob = [math.cos(eps) * alice[1] + math.sin(eps) * alice[0],
+               math.cos(eps) * alice[0] - math.sin(eps) * alice[1]]
+        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
+            evaluate_with_errors(records, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
         [(result, budget)] = evaluate_with_errors(records, [SHANNON], bootstrap=100)
         assert math.isfinite(result.value) and math.isfinite(budget.total)
-        assert fit_visibility(records) > 100.0  # the fit itself is not refused
+        assert abs(fit_visibility(records)) > 100.0  # the fit itself is not refused
 
     def test_benchmark_sized_fit_accepted(self):
         # overlaps of 0.35 and 1000 counts per setting, as in the analyze benchmark
@@ -532,6 +584,37 @@ class TestUnidentifiableFit:
         assert certified == 0
         assert refused > 0
         assert reachable > 0
+
+
+def product_records(total=10 ** 6):
+    """|0> (x) |n>: Alice along z twice, Bob along z and (sqrt(3)/2, 0, 1/2), n halfway."""
+    z, n = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, math.sqrt(3.0) / 2.0])
+    bob = [z, np.array([math.sqrt(3.0) / 2.0, 0.0, 0.5])]
+    cells = [[[(1 + a) * (1 + b * np.dot(n, v)) / 4 * total for b in (1, -1)] for a in (1, -1)]
+             for v in bob]
+    return [CountsRecord(k + 1, np.rint(cells[k]), z, bob[k]) for k in range(2)]
+
+
+class TestBobOrthogonality:
+    def test_product_state_refused(self):
+        # Shannon 0.202, Tsallis-2 0.250 and Renyi 0.218, each steerable with
+        # total_err <= 0.001, from a state that cannot steer
+        for criterion in (SHANNON, TSALLIS2, RENYI):
+            with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 0.5$"):
+                evaluate_with_errors(product_records(), [criterion])
+
+    def test_checked_after_the_settings_count(self):
+        records = product_records()
+        four = [CountsRecord(k + 1, rec.counts, rec.alice_vec, rec.bob_vec)
+                for k, rec in enumerate(records + records)]
+        with pytest.raises(ValueError, match="no built-in bound for 4 settings"):
+            evaluate_with_errors(four, [SHANNON], bootstrap=0, jitter_deg=0.0)
+
+    def test_records_without_directions_keep_the_orthogonal_bound(self):
+        # nothing says which directions Bob measured along: orthogonal ones are assumed
+        bare = [CountsRecord(rec.setting, rec.counts) for rec in product_records()]
+        [(result, _)] = evaluate_with_errors(bare, [SHANNON], bootstrap=0, jitter_deg=0.0)
+        assert result.value == tsallis_steering([counts_to_table(rec) for rec in bare], 1.0).value
 
 
 def reference_db_value(alice, bob, mu):
@@ -745,3 +828,60 @@ def test_entry_points_reject_or_return_finite(m, data, mu, total, counts_seed, b
         return
     for result, budget in out:
         assert all(math.isfinite(x) for x in (result.value, budget.stat, budget.sys))
+
+
+@st.composite
+def bloch_vector(draw):
+    """A point of the unit ball."""
+    vec = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    return vec / max(1.0, float(np.linalg.norm(vec)))
+
+
+@st.composite
+def unit_direction(draw):
+    """A unit 3-vector, z where the drawn coordinates nearly vanish."""
+    vec = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 1e-6 else np.array([0.0, 0.0, 1.0])
+
+
+@st.composite
+def orthonormal_frame(draw):
+    """Three orthonormal rows: the Q of a drawn matrix, the axes where it is near singular."""
+    mat = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+    return np.linalg.qr(mat)[0].T if abs(np.linalg.det(mat)) > 1e-3 else np.eye(3)
+
+
+def separable_probs(weights, alice_states, bob_states, alice, bob):
+    """p_k(a, b) = sum_l w_l (1 + a r_l.u_k)(1 + b s_l.v_k)/4, as ``(m, 2, 2)``."""
+    signs = np.array([1.0, -1.0])
+    p_a = (1.0 + signs * (np.array(alice_states) @ np.array(alice).T)[..., None]) / 2.0
+    p_b = (1.0 + signs * (np.array(bob_states) @ np.array(bob).T)[..., None]) / 2.0
+    return np.clip(np.einsum("l,lka,lkb->kab", weights, p_a, p_b), 0.0, None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from((2, 3)),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_separable_states_never_certified(m, weights, data):
+    # fixed before the first run: 200 examples, up to 4 product terms, 1e-12
+    weights = np.array(weights) / sum(weights)
+    alice_states = [data.draw(bloch_vector()) for _ in weights]
+    bob_states = [data.draw(bloch_vector()) for _ in weights]
+    alice = [data.draw(unit_direction()) for _ in range(m)]
+    entropic = [c for c in BATCH_CRITERIA + RENYI_PAIRS if m == 2 or c.kind != "renyi"]
+    # Bob along an orthonormal frame: the orthogonal bound holds
+    bob = data.draw(orthonormal_frame())[:m]
+    probs = separable_probs(weights, alice_states, bob_states, alice, bob)
+    assert criterion_values(entropic, probs[None], np.array(alice), bob, None).max() <= 1e-12
+    # Bob along directions that are not orthogonal: refused
+    bob = [data.draw(unit_direction()) for _ in range(m)]
+    overlap = max(abs(float(np.dot(u, v))) for k, u in enumerate(bob) for v in bob[k + 1:])
+    assume(overlap > 1e-9)
+    counts = np.rint(separable_probs(weights, alice_states, bob_states, alice, bob) * 10_000)
+    records = [CountsRecord(k + 1, counts[k], alice[k], bob[k]) for k in range(m)]
+    with pytest.raises(ValueError, match="pairwise orthogonal"):
+        evaluate_with_errors(records, entropic, bootstrap=5, jitter_deg=0.0)

@@ -198,6 +198,12 @@ class TestMeasurementSettings:
         with pytest.raises(ValueError):
             mub_settings(4)
 
+    @pytest.mark.parametrize("m, alpha, phi", [(2, np.inf, 0.0), (3, 0.0, np.nan), (2, -np.inf, 1.0)])
+    def test_mub_rejects_non_finite_angles(self, m, alpha, phi):
+        # mub_settings(2, inf) returned NaN directions, with numpy RuntimeWarnings
+        with pytest.raises(ValueError, match="misalignment angles must be finite, got alpha = "):
+            mub_settings(m, alpha, phi)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_nom_vectors(self, m):
         alice, bob = nom_settings(m)
