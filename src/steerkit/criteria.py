@@ -54,7 +54,7 @@ _ORDER_NAMES = {"shannon": ("q",), "tsallis": ("q",), "renyi": ("r", "s"), "db":
 
 def _check_renyi_orders(r: float, s: float) -> tuple[float, float]:
     """``(r, s)`` as floats; ValueError unless both are >= 1/2 (inf allowed) and 1/r + 1/s = 2."""
-    r, s = float(r), float(s)
+    r, s = qcore.as_float(r), qcore.as_float(s)
     if not (r >= 0.5 and s >= 0.5):  # NaN fails too
         raise ValueError(f"Renyi orders must be >= 1/2, got ({r}, {s})")
     inv = 1.0 / r + 1.0 / s
@@ -470,7 +470,7 @@ def sweep(mu: float, alpha_grid, phi_deg: float, m: int, criteria, mode: str = "
     Returns one :class:`SweepRow` per (alpha, criterion) pair, alpha-major,
     in deterministic order; an empty grid gives no rows and checks nothing.
     """
-    alphas = [float(alpha_deg) for alpha_deg in alpha_grid]
+    alphas = [qcore.as_float(alpha_deg) for alpha_deg in alpha_grid]
     settings = [Scenario(mu, alpha_deg, phi_deg, m, mode).settings() for alpha_deg in alphas]
     if not settings:
         return []

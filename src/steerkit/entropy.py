@@ -14,13 +14,13 @@ import sys
 
 import numpy as np
 
-from .qcore import JointTable
+from .qcore import JointTable, as_array, as_float
 
 DIST_ATOL = 1e-10
 
 
 def _as_distribution(p) -> np.ndarray:
-    probs = np.asarray(p, dtype=float).ravel()
+    probs = as_array("distribution", p).ravel()
     if probs.size == 0:
         raise ValueError("distribution must be non-empty")
     if probs.min() < -DIST_ATOL:
@@ -33,13 +33,14 @@ def _as_distribution(p) -> np.ndarray:
 
 def check_tsallis_order(q) -> float:
     """``q`` as a float; ValueError unless it is a finite number >= 1 (None and NaN fail)."""
-    if not (isinstance(q, numbers.Real) and math.isfinite(q) and q >= 1.0):
+    order = as_float(q) if isinstance(q, numbers.Real) else math.nan
+    if not (math.isfinite(order) and order >= 1.0):
         raise ValueError(f"Tsallis order must satisfy q >= 1 (q = 1 is the Shannon limit), got {q}")
-    return float(q)
+    return order
 
 
 def _check_renyi_order(r: float) -> float:
-    r = float(r)
+    r = as_float(r)
     if r != math.inf and (not math.isfinite(r) or r < 0.5):
         raise ValueError(f"Renyi order must satisfy r >= 1/2 (inf allowed), got {r}")
     return r
@@ -47,10 +48,10 @@ def _check_renyi_order(r: float) -> float:
 
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q); ln_1 = ln."""
-    x = float(x)
+    x = as_float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"q-logarithm requires a finite x > 0, got {x}")
-    q = float(q)
+    q = as_float(q)
     if not math.isfinite(q):
         raise ValueError(f"q-logarithm order must be finite, got {q}")
     if q == 1.0:

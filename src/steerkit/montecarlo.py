@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_int, as_settings_count, as_visibility
+from .qcore import as_float, as_int, as_settings_count, as_visibility
 
 ROM_SCHEMES = ("dihedral", "haar")
 CRM_SCHEMES = ("isotropic",)
@@ -114,7 +114,7 @@ def measurement_class(scheme: str) -> str:
 
 
 def _check_bound_factor(factor: float) -> None:
-    if not (math.isfinite(factor) and factor > 0.0):
+    if not (math.isfinite(as_float(factor)) and factor > 0.0):
         raise ValueError(f"bound factor must be positive and finite, got {factor}")
 
 
@@ -421,7 +421,7 @@ def raised_bound_table(
     one set of geometry samples across the factors.  The inputs pass the
     :class:`MCConfig` checks before anything is drawn.
     """
-    factors = [float(factor) for factor in factors]
+    factors = [as_float(factor) for factor in factors]
     for factor in factors:
         _check_bound_factor(factor)
     configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]

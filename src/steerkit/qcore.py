@@ -37,9 +37,17 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
+def as_array(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as a ``dtype`` array; ValueError for an int past float range, as numpy refuses."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry past float range") from None
+
+
 def as_unit_vector(v) -> np.ndarray:
     """Return ``v`` as a float array, rejecting non-unit-norm vectors."""
-    vec = np.asarray(v, dtype=float)
+    vec = as_array("measurement direction", v)
     if vec.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {vec.shape}")
     norm = math.hypot(*vec)  # scaled: a huge finite vector does not overflow
@@ -55,9 +63,17 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_float(value) -> float:
+    """``float(value)``, where a number past float range reads as +-inf for the range rules."""
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past 1.8e308
+        return math.inf if value > 0 else -math.inf
+
+
 def as_visibility(mu) -> float:
     """``mu`` as a float; ValueError unless it lies in [0, 1] (NaN fails)."""
-    mu = float(mu)
+    mu = as_float(mu)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
     return mu
@@ -72,7 +88,7 @@ def as_settings_count(m) -> int:
 
 def as_angles(alpha_deg, phi_deg) -> tuple[float, float]:
     """The misalignment angles as floats; ValueError unless both are finite."""
-    alpha_deg, phi_deg = float(alpha_deg), float(phi_deg)
+    alpha_deg, phi_deg = as_float(alpha_deg), as_float(phi_deg)
     if not (math.isfinite(alpha_deg) and math.isfinite(phi_deg)):
         raise ValueError(
             f"misalignment angles must be finite, got alpha = {alpha_deg}, phi = {phi_deg}"
@@ -94,7 +110,7 @@ def werner_state(mu: float) -> np.ndarray:
 
 def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix."""
-    mat = np.asarray(rho, dtype=complex)
+    mat = as_array("density matrix", rho, complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
@@ -126,7 +142,7 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = as_array("joint table", self.probs)
         if probs.shape != (2, 2):
             raise ValueError(f"joint table must be 2x2, got shape {probs.shape}")
         # negated comparisons: a NaN entry fails them

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerkit import qcore
+from steerkit import entropy, qcore
 from steerkit.criteria import (
     DB_SCALE,
     DB_VECTOR_THRESHOLD,
@@ -25,7 +25,13 @@ from steerkit.criteria import (
     sweep_rows_to_csv,
     tsallis_steering,
 )
-from steerkit.expio import CountsRecord, evaluate_with_errors
+from steerkit.expio import CountsRecord, evaluate_with_errors, synthesize_counts
+from steerkit.montecarlo import (
+    MCConfig,
+    raised_bound_table,
+    violation_histogram,
+    violation_probability,
+)
 
 INF = math.inf
 
@@ -712,3 +718,82 @@ def test_non_finite_input_is_never_steerable(entry, data):
     except ValueError:
         return
     assert not any(result.steerable for result in results)
+
+
+_Z = (0.0, 0.0, 1.0)
+_SINGLET_Z = qcore.joint_table_closed(1.0, _Z, _Z)
+_MUB2 = qcore.mub_settings(2)
+_MC = MCConfig(2, "haar", (0.9,), 1000)
+
+#: Public entry points, each called with ``x`` in one numeric argument and
+#: valid values in the others.
+PAST_FLOAT_ENTRIES = {
+    "Scenario mu": lambda x: Scenario(mu=x),
+    "Scenario alpha": lambda x: Scenario(mu=0.9, alpha_deg=x),
+    "Scenario phi": lambda x: Scenario(mu=0.9, phi_deg=x),
+    "critical_mu alpha": lambda x: critical_mu(x, 0.0),
+    "critical_mu phi": lambda x: critical_mu(0.0, x),
+    "critical_alpha mu": lambda x: critical_alpha(Criterion("shannon"), x),
+    "critical_alpha phi": lambda x: critical_alpha(Criterion("shannon"), 0.9, x),
+    "mub_settings alpha": lambda x: qcore.mub_settings(2, x),
+    "mub_settings phi": lambda x: qcore.mub_settings(2, 0.0, x),
+    "werner_state": lambda x: qcore.werner_state(x),
+    "joint_table_closed mu": lambda x: qcore.joint_table_closed(x, _Z, _Z),
+    "joint_table_closed direction": lambda x: qcore.joint_table_closed(0.5, (x, 0, 0), _Z),
+    "joint_table_trace state": lambda x: qcore.joint_table_trace(np.diag([x, 0, 0, 0]), _Z, _Z),
+    "JointTable": lambda x: qcore.JointTable([[x, 0], [0, 0]]),
+    "bloch_projector": lambda x: qcore.bloch_projector((0, 0, x), 1),
+    "q_log x": lambda x: entropy.q_log(x, 2.0),
+    "q_log q": lambda x: entropy.q_log(2.0, x),
+    "shannon_entropy": lambda x: entropy.shannon_entropy([x, 0.5]),
+    "tsallis_entropy q": lambda x: entropy.tsallis_entropy([0.5, 0.5], x),
+    "renyi_entropy r": lambda x: entropy.renyi_entropy([0.5, 0.5], x),
+    "tsallis_directed_term": lambda x: entropy.tsallis_directed_term(_SINGLET_Z, x),
+    "arimoto_conditional_renyi": lambda x: entropy.arimoto_conditional_renyi(_SINGLET_Z, x),
+    "eur_bound_tsallis q": lambda x: entropy.eur_bound_tsallis(x, 2),
+    "Criterion q": lambda x: Criterion("tsallis", q=x),
+    "Criterion r": lambda x: Criterion("renyi", r=x),
+    "Criterion s": lambda x: Criterion("renyi", r=0.75, s=x),
+    "tsallis_steering": lambda x: tsallis_steering([_SINGLET_Z] * 2, x),
+    "renyi_steering r": lambda x: renyi_steering([_SINGLET_Z] * 2, x, 1.0),
+    "db_bound m": lambda x: db_bound(x),
+    "db_lhs mu": lambda x: db_lhs(*_MUB2, x),
+    "db_steering mu": lambda x: db_steering(*_MUB2, x),
+    "sweep mu": lambda x: sweep(x, [0.0], 0.0, 2, [Criterion("shannon")]),
+    "sweep alpha": lambda x: sweep(0.9, [x], 0.0, 2, [Criterion("shannon")]),
+    "MCConfig mu": lambda x: MCConfig(2, "haar", (x,), 1000),
+    "MCConfig samples": lambda x: MCConfig(2, "haar", (0.9,), x),
+    "MCConfig bound_factor": lambda x: MCConfig(2, "haar", (0.9,), 1000, bound_factor=x),
+    "violation_probability workers": lambda x: violation_probability(_MC, x),
+    "violation_histogram bins": lambda x: violation_histogram(_MC, x),
+    "raised_bound_table factor": lambda x: raised_bound_table((x,), 0.9, 1000),
+    "raised_bound_table mu": lambda x: raised_bound_table((1.0,), x, 1000),
+    "CountsRecord counts": lambda x: CountsRecord(1, [[x, 1], [1, 1]]),
+    "synthesize_counts mu": lambda x: synthesize_counts(x, *_MUB2, 1000),
+    "synthesize_counts total": lambda x: synthesize_counts(0.9, *_MUB2, x),
+    "evaluate_with_errors bootstrap": lambda x: evaluate_with_errors(
+        synthesize_counts(0.9, *_MUB2, 1000), [Criterion("shannon")], x),
+    "evaluate_with_errors jitter": lambda x: evaluate_with_errors(
+        synthesize_counts(0.9, *_MUB2, 1000), [Criterion("shannon")], 10, x),
+}
+
+#: Where a huge positive value is valid: a Renyi order reads as inf, and
+#: workers beyond the chunks are not started.  Each gives this result.
+PAST_FLOAT_ACCEPTED = {
+    "renyi_entropy r": lambda: entropy.renyi_entropy([0.5, 0.5], INF),
+    "arimoto_conditional_renyi": lambda: entropy.arimoto_conditional_renyi(_SINGLET_Z, INF),
+    "violation_probability workers": lambda: violation_probability(_MC, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAST_FLOAT_ENTRIES))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(magnitude=st.integers(2 ** 1024, 10 ** 400), sign=st.sampled_from((1, -1)))
+def test_ints_past_float_range_raise_value_error(entry, magnitude, sign):
+    # each raised OverflowError: int too large to convert to float
+    call = PAST_FLOAT_ENTRIES[entry]
+    if sign > 0 and entry in PAST_FLOAT_ACCEPTED:
+        assert call(magnitude) == PAST_FLOAT_ACCEPTED[entry]()
+        return
+    with pytest.raises(ValueError):
+        call(sign * magnitude)

@@ -129,6 +129,25 @@ class TestLoadCounts:
         with pytest.raises(CountsFormatError, match=message):
             load_counts(path)
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            # named line 4, the row count, after the quoted count that spans lines 2 and 3
+            ("1,-1,+1,x", "line 5: counts must be an integer, got 'x'"),
+            ("1,-1,+1", "line 5: expected 4 fields, got 3"),
+            ("1,+1,+1,7", r"line 5: duplicate entry for setting 1, outcomes \(1, 1\)"),
+        ],
+    )
+    def test_lines_after_a_field_over_two_lines_named_physically(self, tmp_path, bad_row, message):
+        text = f'setting,a,b,counts\n1,+1,+1,"12\n"\n1,+1,-1,488\n{bad_row}\n'
+        with pytest.raises(CountsFormatError, match=message):
+            load_counts(write_file(tmp_path, text))
+
+    def test_a_row_over_two_lines_named_by_its_first(self, tmp_path):
+        text = 'setting,a,b,counts\n1,+1,+1,488\n1,+1,-1,"1\r\n2"\n'
+        with pytest.raises(CountsFormatError, match=r"^line 3: counts must be an integer"):
+            load_counts(write_file(tmp_path, text))
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_line_endings(self, tmp_path, newline):
         # the file is split into lines as text mode with newline="" splits it
@@ -772,6 +791,113 @@ class TestBatchedJitter:
                 criteria, alice, bob, mu, sigma, count, np.random.default_rng(seed)
             )
         assert np.array_equal(values, expected)
+
+    def test_an_axis_of_norm_zero_skips_the_angle_draw(self):
+        # there the loop returns Bob's direction and draws no angle; a real
+        # generator gives such an axis at odds near 2**-104, so one is scripted
+        alice, bob = (np.array(vecs) for vecs in qcore.mub_settings(2, 10.0, 20.0))  # Bob on z, x
+        normals = np.random.default_rng(6).standard_normal(100)
+        normals[28:31] = 1.7 * bob[1]  # replicate 3, Bob's x: g - (g.x) x is exactly 0
+        criteria = BATCH_CRITERIA + [DB] + RENYI_PAIRS
+        sigma = math.radians(1.0)
+        reference, batched = ScriptedNormals(normals), ScriptedNormals(normals)
+        expected = reference_jitter_values(criteria, alice, bob, 0.9, sigma, 10, reference)
+        with mock.patch.object(expio, "_REPLICATE_BATCH", 4):
+            values = expio._jitter_values(criteria, alice, bob, 0.9, sigma, 10, batched)
+        assert np.array_equal(values, expected)
+        # the batches after the skipped angle read the stream one normal on
+        assert batched.state == reference.state == 10 * 2 * 4 - 1
+        scripted = ScriptedNormals(normals)
+        first = expio._jittered_batch(bob, sigma, 4, scripted)
+        assert np.array_equal(first[3, 1], bob[1]) and scripted.state == 4 * 2 * 4 - 1
+
+
+class ScriptedNormals:
+    """A stand-in generator whose normals are read from a list in order; its state is the index."""
+
+    def __init__(self, normals):
+        self.normals = np.asarray(normals, dtype=float)
+        self.state = 0
+        self.bit_generator = self
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        drawn = self.normals[self.state:self.state + count]
+        self.state += count
+        return drawn.reshape(size)
+
+    def normal(self, loc, scale):
+        return loc + scale * float(self.standard_normal(1)[0])
+
+
+#: Job 1307 of the analyze benchmark at seed 1 (its file counts-1311.csv): empty cells
+#: in setting 1.
+EMPTY_CELL_FILE = """setting,a,b,counts,ax,ay,az,bx,by,bz
+1,+1,+1,0,0.00075400874810969943,0.00031456750483174512,0.99999966625899062,0,0,1
+1,+1,-1,2124,0.00075400874810969943,0.00031456750483174512,0.99999966625899062,0,0,1
+1,-1,+1,2084,0.00075400874810969943,0.00031456750483174512,0.99999966625899062,0,0,1
+1,-1,-1,0,0.00075400874810969943,0.00031456750483174512,0.99999966625899062,0,0,1
+2,+1,+1,101,0.92290391984229947,0.38502946284383371,-0.00081699565930427442,1,0,0
+2,+1,-1,2081,0.92290391984229947,0.38502946284383371,-0.00081699565930427442,1,0,0
+2,-1,+1,2080,0.92290391984229947,0.38502946284383371,-0.00081699565930427442,1,0,0
+2,-1,-1,82,0.92290391984229947,0.38502946284383371,-0.00081699565930427442,1,0,0
+"""
+
+#: The criteria the analyze benchmark evaluates at each settings count.
+BENCHMARK_CRITERIA = {2: ["shannon", "tsallis2", "db", "renyi"], 3: ["shannon", "tsallis2", "db"]}
+
+
+def misses(records, scenario, tokens, seed):
+    """The criteria whose value lies more than 5 total errors from the closed form."""
+    evaluated = evaluate_with_errors(records, [Criterion.parse(t) for t in tokens], 1000, 0.1, seed)
+    return [token for token, (result, budget) in zip(tokens, evaluated)
+            if abs(result.value - closed_form(scenario, Criterion.parse(token))) > 5 * budget.total]
+
+
+def empty_cell_datasets(seed, count):
+    """``(scenario, records)`` with an empty cell, drawn as the analyze benchmark draws its files.
+
+    mu in [0.8, 1], alpha in [0, 45] and phi in [0, 60] degrees, 10**U(3, 5)
+    Poisson counts per setting.  Draws whose smallest cell mean N (1 - mu u.v)/4
+    is over 10 are passed over: an empty cell there has odds below 12 e**-10.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        m = rng.choice((2, 3, 2), size=4096)
+        mu, alpha, phi = (rng.uniform(0.8, 1.0, 4096), rng.uniform(0.0, 45.0, 4096),
+                          rng.uniform(0.0, 60.0, 4096))
+        total = np.rint(10.0 ** rng.uniform(3.0, 5.0, 4096))
+        seeds = rng.integers(2 ** 31, size=4096)
+        # the largest overlap of qcore.mub_settings: cos(alpha), or cos(phi) at m = 3
+        overlap = np.maximum(np.cos(np.radians(alpha)), (m == 3) * np.cos(np.radians(phi)))
+        for k in np.flatnonzero(total * (1.0 - mu * overlap) / 4.0 <= 10.0):
+            scenario = Scenario(mu=mu[k], alpha_deg=alpha[k], phi_deg=phi[k], m=int(m[k]))
+            records = synthesize_counts(mu[k], *scenario.settings(), total[k], seed=int(seeds[k]))
+            if any(rec.counts.min() == 0 for rec in records) and len(found) < count:
+                found.append((scenario, records))
+    return found
+
+
+class TestEmptyCells:
+    """An empty cell is bootstrapped with mean 1/2: at mean 0 it never varies."""
+
+    def test_benchmark_file_within_five_errors(self, tmp_path):
+        # Renyi read 0.6501 against 0.6109 with total_err 0.0031: 12.6 errors off
+        records = load_counts(write_file(tmp_path, EMPTY_CELL_FILE))
+        scenario = Scenario(mu=0.9990576846751928, alpha_deg=0.046810408366160794,
+                            phi_deg=22.645577341674812, m=2)
+        assert misses(records, scenario, BENCHMARK_CRITERIA[2], seed=1622077078) == []
+
+    def test_coverage_over_the_benchmark_range(self):
+        # The bound was fixed before the first run: at most 3 of 150 datasets
+        # miss per criterion.  In a study of 2,000 such datasets Renyi missed
+        # on 1 of 1,075 and the others never (4 misses at a rate of 0.2 % have
+        # odds of 3e-4); with Poisson(0) Renyi missed on 15 %.
+        datasets = empty_cell_datasets(seed=9, count=150)
+        missed = [token for i, (scenario, records) in enumerate(datasets)
+                  for token in misses(records, scenario, BENCHMARK_CRITERIA[scenario.m], seed=i)]
+        assert all(missed.count(token) <= 3 for token in BENCHMARK_CRITERIA[2]), missed
 
 
 def mostly(valid, other):

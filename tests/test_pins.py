@@ -5,8 +5,9 @@ its Philox streams, keyed by ``STREAM_VERSION``: any change to what a seed
 draws fails here until it bumps the version and records its own pins.
 
 The ``analyze`` pins hold the sha256 of the JSON that fixed counts files and
-seeds print, so any change to the bootstrap or jitter draws, or to the
-arithmetic of the error budget, fails here too.
+seeds print, keyed by ``BUDGET_STREAM_VERSION``, so any change to the
+bootstrap or jitter draws, or to the arithmetic of the error budget, fails
+here too.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 import steerkit
 from steerkit import cli
 from steerkit.criteria import DB_VECTOR_THRESHOLD
+from steerkit.expio import BUDGET_STREAM_VERSION
 from steerkit.montecarlo import STREAM_VERSION, MCConfig, violation_probability
 
 PINNED_MU_GRID = (0.6, 0.8, 0.9, 1.0)
@@ -84,8 +86,8 @@ ANALYZE_FILES = {
     ],
 }
 
-#: (file, flags, sha256 of the JSON analyze prints).
-ANALYZE_PINS = [
+#: (file, flags, sha256 of the JSON analyze prints), per budget stream version.
+ANALYZE_PINS = {2: [
     ("m2", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200", "--jitter", "0.1",
             "--seed", "11"],
      "a81a4135762e30ecaef95fa2bb1f9d8b5cdb2ee977afc740a47e2f84c1386e1c"),
@@ -94,11 +96,17 @@ ANALYZE_PINS = [
      "f566ac46463a0db8a47e111b92437da0ffd01f0257b3015e88192273f800f875"),
     ("zero-cell", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200",
                    "--jitter", "0.1", "--seed", "13"],
-     "e83d421427e3910ca75b73b3137fa2ed625cc26f99057f689a0a537b542fa672"),
-]
+     "8163aeac003c57a0fe1ab119115c379c91203cc65f21510abfaf441398745584"),
+]}
 
 
-@pytest.mark.parametrize("name, flags, digest", ANALYZE_PINS)
+def test_budget_stream_version_is_pinned():
+    assert BUDGET_STREAM_VERSION in ANALYZE_PINS, (
+        f"no analyze pins for BUDGET_STREAM_VERSION {BUDGET_STREAM_VERSION}; record them"
+    )
+
+
+@pytest.mark.parametrize("name, flags, digest", ANALYZE_PINS.get(BUDGET_STREAM_VERSION, []))
 def test_analyze_output_pinned(tmp_path, name, flags, digest):
     lines = ["setting,a,b,counts,ax,ay,az,bx,by,bz"]
     for setting, (vectors, counts) in enumerate(ANALYZE_FILES[name], start=1):
