@@ -33,7 +33,7 @@ from .entropy import (
     tsallis_entropy,
 )
 from .expio import (
-    CountsRecord,
+    CountsData,
     ErrorBudget,
     counts_to_table,
     evaluate_with_errors,
@@ -63,7 +63,7 @@ __all__ = [
     "Scenario",
     "SteeringResult",
     "JointTable",
-    "CountsRecord",
+    "CountsData",
     "ErrorBudget",
     "MCConfig",
     "MCEstimate",

@@ -218,20 +218,17 @@ def _cmd_analyze(args) -> int:
     if os.path.getsize(path) == 0:
         print(f"steerkit: parse error: empty counts file: {path}", file=sys.stderr)
         return 2
-    records = expio.load_counts(path)  # CountsFormatError -> exit 3 in main()
-    if args.attach_mode is not None and any(rec.alice_vec is None for rec in records):
-        m = len(records)
+    data = expio.load_counts(path)  # CountsFormatError -> exit 3 in main()
+    if args.attach_mode is not None and data.alice is None:
+        m = len(data.counts)
         if args.attach_mode == "mub":
             alice, bob = qcore.mub_settings(m, args.alpha, args.phi)
         else:
             alice, bob = qcore.nom_settings(m)
-        records = [
-            expio.CountsRecord(rec.setting, rec.counts, alice_vec=u, bob_vec=v)
-            for rec, u, v in zip(records, alice, bob)
-        ]
+        data = expio.CountsData(data.counts, alice, bob)
     crit_list = _parse_criteria(args.criteria)
     evaluated = expio.evaluate_with_errors(
-        records,
+        data,
         crit_list,
         bootstrap=args.bootstrap,
         jitter_deg=args.jitter,

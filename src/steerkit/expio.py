@@ -8,7 +8,8 @@ Counts file format (CSV in UTF-8, header required)::
 ``b`` are the +1/-1 outcomes; ``counts`` is a non-negative integer below
 2**53.  The six optional columns attach the measurement directions of the
 setting (required for the determinant criterion and for systematic-error
-estimation) and must be identical on all four rows of a setting.
+estimation) and must be identical on all four rows of a setting.  Numbers
+are ASCII numerals.  :func:`load_counts` returns a :class:`CountsData`.
 
 Error model: the statistical error is a parametric Poisson bootstrap over the
 observed counts, with mean 1/2 for an empty cell; the systematic error
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,39 +40,53 @@ class CountsFormatError(ValueError):
     """Raised when a counts file cannot be parsed or validated."""
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    """Coincidence counts for one measurement setting."""
+@dataclass(frozen=True, eq=False)
+class CountsData:
+    """A counts dataset: the coincidence counts of m settings and, optionally, their directions.
 
-    setting: int
-    counts: np.ndarray  # 2x2 ints, rows Alice outcome +1/-1, cols Bob
-    alice_vec: np.ndarray | None = None
-    bob_vec: np.ndarray | None = None
+    ``counts[k]`` is setting k + 1's 2x2 table, rows Alice's outcome +1/-1 and
+    columns Bob's; ``alice`` and ``bob`` are ``(m, 3)`` unit directions, or
+    both None.  Checked once, on construction; every array is read-only.
+    """
+
+    counts: np.ndarray  # (m, 2, 2) int64
+    alice: np.ndarray | None = None
+    bob: np.ndarray | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.shape != (2, 2):
-            raise ValueError(f"counts must be 2x2, got shape {counts.shape}")
+        if counts.ndim != 3 or counts.shape[1:] != (2, 2):
+            raise ValueError(f"counts must have shape (m, 2, 2), got shape {counts.shape}")
+        if len(counts) == 0:
+            raise ValueError("no count rows found")
         # before the int64 cast, which would truncate 0.5 to 0 and wrap inf or 1e30;
         # below 2**53 a count is exact in float64 and the int64 total cannot overflow
         if not (np.all(np.abs(counts) < 2.0 ** 53) and np.all(counts == np.floor(counts))):
             raise ValueError(f"counts must be whole numbers below 2**53, got {counts.tolist()}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        total = int(counts.sum())
-        if total < 1:
-            raise ValueError(f"setting {self.setting} has zero total counts")
-        counts = counts.astype(np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        for name in ("alice_vec", "bob_vec"):
-            vec = getattr(self, name)
-            if vec is not None:
-                object.__setattr__(self, name, qcore.as_unit_vector(vec))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        vectors = {}
+        for name in ("alice", "bob"):
+            vecs = getattr(self, name)
+            if vecs is not None:
+                vecs = qcore.as_array("measurement direction", vecs).copy()
+                if vecs.shape != (len(counts), 3):
+                    raise ValueError(
+                        f"{name} directions must have shape ({len(counts)}, 3), got {vecs.shape}"
+                    )
+                vectors[name] = vecs
+        for k, table in enumerate(counts):  # setting by setting, as a file lists them
+            if int(table.sum()) < 1:
+                raise ValueError(f"setting {k + 1} has zero total counts")
+            for vecs in vectors.values():
+                qcore.as_unit_vector(vecs[k])
+        if len(vectors) == 1:
+            raise ValueError(
+                "measurement vectors must be recorded for both parties on every setting or on none"
+            )
+        for name, value in (("counts", counts.astype(np.int64)), *vectors.items()):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -89,11 +105,20 @@ class ErrorBudget:
 _OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+#: The numerals a field may hold, in ASCII only: int() and float() also read
+#: "1_0" and non-ASCII digits as numbers.  A float may be nan or inf here;
+#: _component refuses those by name.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_FLOAT = re.compile(
+    r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)\s*",
+    re.ASCII | re.IGNORECASE,
+)
+
+
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {text!r}") from None
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"must be an integer, got {text!r}")
+    return int(text)
 
 
 def _outcome(text: str) -> int:
@@ -110,10 +135,9 @@ def _count(text: str) -> int:
 
 
 def _component(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"must be a number, got {text!r}") from None
+    if not _FLOAT.fullmatch(text):
+        raise ValueError(f"must be a number, got {text!r}")
+    value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {value}")
     return value
@@ -158,7 +182,7 @@ def _csv_rows(stream):
         raise CountsFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def load_counts(path) -> list[CountsRecord]:
+def load_counts(path) -> CountsData:
     """Parse and validate a UTF-8 counts CSV; see the module docstring for the format."""
     with open(path, "rb") as stream:
         reader = _csv_rows(_text_lines(stream))
@@ -196,78 +220,46 @@ def load_counts(path) -> list[CountsRecord]:
                 raise CountsFormatError(
                     f"line {line_no}: duplicate entry for setting {setting}, outcomes ({a}, {b})"
                 )
-            if not np.allclose(first_vector, vector):
+            if vector != first_vector:  # exactly: only the first row's vector is kept
                 raise CountsFormatError(f"line {line_no}: vectors differ within setting {setting}")
             cells[a, b] = count
 
     missing = [(m, *ab) for m in sorted(settings) for ab in _OUTCOMES if ab not in settings[m][0]]
     if missing:
         raise CountsFormatError(f"{path}: missing outcome rows {missing}")
+    numbers = sorted(settings)
+    if numbers != list(range(1, len(numbers) + 1)):
+        raise CountsFormatError(f"{path}: settings must be contiguous from 1, got {numbers}")
+    counts = np.reshape([[settings[k][0][ab] for ab in _OUTCOMES] for k in numbers], (-1, 2, 2))
+    vectors = [settings[k][1] for k in numbers]  # per setting ax..az, bx..bz, or []
     try:
-        return _checked([
-            CountsRecord(m, np.reshape([cells[ab] for ab in _OUTCOMES], (2, 2)),
-                         *(np.reshape(vector, (2, 3)) if vector else (None, None)))
-            for m, (cells, vector) in sorted(settings.items())
-        ])
+        return CountsData(
+            counts, *(np.reshape(vectors, (-1, 2, 3)).swapaxes(0, 1) if len(columns) > 4 else ())
+        )
     except ValueError as exc:
         raise CountsFormatError(f"{path}: {exc}") from None
 
 
-def write_counts(records, path) -> None:
-    """Write a counts dataset in setting order, in the CSV format :func:`load_counts` reads."""
-    records = _checked(records)
-    columns = _COLUMNS + (_VECTOR_COLUMNS if records[0].alice_vec is not None else ())
+def write_counts(data: CountsData, path) -> None:
+    """Write a counts dataset in the CSV format :func:`load_counts` reads."""
+    columns = _COLUMNS + (_VECTOR_COLUMNS if data.alice is not None else ())
     with open(path, "w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_header(columns))
-        for rec in records:
-            vectors = [f"{c:.17g}" for vec in (rec.alice_vec, rec.bob_vec) if vec is not None
-                       for c in vec]
-            for (a, b), count in zip(_OUTCOMES, rec.counts.ravel().tolist()):
-                writer.writerow([rec.setting, f"{a:+d}", f"{b:+d}", count, *vectors])
+        for k, table in enumerate(data.counts.tolist()):
+            vectors = [f"{c:.17g}" for vecs in (data.alice, data.bob) if vecs is not None
+                       for c in vecs[k].tolist()]
+            for (a, b), count in zip(_OUTCOMES, table[0] + table[1]):
+                writer.writerow([k + 1, f"{a:+d}", f"{b:+d}", count, *vectors])
 
 
-def _checked(records, vectors_needed: bool = False) -> list[CountsRecord]:
-    """The records in setting order, checked as one counts dataset.
-
-    Settings are numbered 1..m, each once; every setting records both
-    parties' directions or none does, which fails when ``vectors_needed``.
-    """
-    records = sorted(records, key=lambda rec: rec.setting)
-    settings = [rec.setting for rec in records]
-    if not settings:
-        raise ValueError("no count rows found")
-    if settings != list(range(1, len(settings) + 1)):
-        raise ValueError(f"settings must be contiguous from 1, got {settings}")
-    missing = {(rec.alice_vec is None, rec.bob_vec is None) for rec in records}
-    if missing not in ({(False, False)}, {(True, True)}):
-        raise ValueError(
-            "measurement vectors must be recorded for both parties on every setting or on none"
-        )
-    if vectors_needed and missing == {(True, True)}:
-        raise ValueError(
-            "systematic jitter and the determinant criterion need measurement vectors; "
-            "attach them to the counts file or the records"
-        )
-    return records
+def counts_to_table(counts) -> JointTable:
+    """Maximum-likelihood joint table p = n / sum(n) of one setting's 2x2 counts."""
+    counts = np.asarray(counts)
+    return JointTable(counts / counts.sum())
 
 
-def _dataset(records, vectors_needed: bool = False):
-    """:func:`_checked` records as ``(m, 2, 2)`` counts and ``(alice, bob)``, ``(m, 3)`` or None."""
-    records = _checked(records, vectors_needed)
-    counts = np.array([rec.counts for rec in records])
-    if records[0].alice_vec is None:
-        return counts, None
-    return counts, (np.array([rec.alice_vec for rec in records]),
-                    np.array([rec.bob_vec for rec in records]))
-
-
-def counts_to_table(record: CountsRecord) -> JointTable:
-    """Maximum-likelihood joint table p = n / sum(n)."""
-    return JointTable(record.counts / record.total)
-
-
-def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[CountsRecord]:
+def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> CountsData:
     """Generate counts from a Werner scenario (the test oracle for this module).
 
     With ``seed=None`` the expected counts are rounded deterministically;
@@ -283,12 +275,10 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
             f"total_per_setting must be finite and > 0 and below 2**53, the largest exact count, "
             f"got {total_per_setting}"
         )
-    records = []
-    for i, (u, v) in enumerate(zip(alice, bob)):
-        expected = qcore.joint_table_closed(mu, u, v).probs * total
-        counts = np.rint(expected).astype(np.int64) if rng is None else rng.poisson(expected)
-        records.append(CountsRecord(i + 1, counts, alice_vec=u, bob_vec=v))
-    return records
+    expected = [qcore.joint_table_closed(mu, u, v).probs * total for u, v in zip(alice, bob)]
+    expected = np.reshape(expected, (len(alice), 2, 2))
+    counts = np.rint(expected).astype(np.int64) if rng is None else rng.poisson(expected)
+    return CountsData(counts, alice, bob)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +286,7 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> list[Coun
 # ---------------------------------------------------------------------------
 
 
-def fit_visibility(records) -> float:
+def fit_visibility(data: CountsData) -> float:
     """Least-squares Werner visibility from the observed correlations.
 
     Minimises sum_m (E_m + mu u_m.v_m)^2 over mu, using the per-setting
@@ -304,9 +294,13 @@ def fit_visibility(records) -> float:
     clipped to [0, 1]; :func:`evaluate_with_errors` clips it and refuses the
     determinant criterion when the fit cannot be told from noise.
     """
-    counts, (alice, bob) = _dataset(records, vectors_needed=True)
-    probs = counts / counts.sum(axis=(1, 2))[:, None, None]
-    return float(_least_squares_visibility(probs, _overlaps(alice, bob)))
+    if data.alice is None:
+        raise ValueError(
+            "systematic jitter and the determinant criterion need measurement vectors; "
+            "attach them to the counts file or the dataset"
+        )
+    probs = data.counts / data.counts.sum(axis=(1, 2))[:, None, None]
+    return float(_least_squares_visibility(probs, _overlaps(data.alice, data.bob)))
 
 
 def _overlaps(alice, bob) -> list[float]:
@@ -477,7 +471,7 @@ MAX_BOOTSTRAP = 100_000
 
 
 def evaluate_with_errors(
-    records,
+    data: CountsData,
     criteria,
     bootstrap: int = 1000,
     jitter_deg: float = 0.1,
@@ -494,8 +488,8 @@ def evaluate_with_errors(
     goes through the same estimators, which reject a settings count they do
     not support.  The determinant criterion is refused where its visibility
     fit cannot support it; see :func:`_check_db_fit`.  Entropic criteria are
-    refused unless Bob's recorded directions are orthogonal; records without
-    directions are taken to have them (see
+    refused unless Bob's recorded directions are orthogonal; a dataset without
+    directions is taken to have them (see
     :func:`~steerkit.criteria.check_bob_orthogonal`).
     """
     bootstrap = qcore.as_int("bootstrap replicate count", bootstrap)
@@ -507,14 +501,13 @@ def evaluate_with_errors(
     jitter_deg = qcore.as_float(jitter_deg)
     if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
-    records, criteria = list(records), list(criteria)
+    criteria = list(criteria)
     dbs = [c for c in criteria if c.kind == "db"]
     needs_fit = bool(dbs) or jitter_deg > 0.0
-    raw, directions = _dataset(records, vectors_needed=needs_fit)  # (m, 2, 2) counts
-    alice, bob = directions or (None, None)
+    raw, alice, bob = data.counts, data.alice, data.bob  # (m, 2, 2) counts
     observed = raw / raw.sum(axis=(1, 2))[:, None, None]
+    fit = fit_visibility(data) if needs_fit else None
     overlaps = _overlaps(alice, bob) if needs_fit else None
-    fit = fit_visibility(records) if needs_fit else None
     if dbs:
         _check_db_fit(dbs[0], fit, _fit_error(raw, overlaps), observed[None], alice, bob)
     mu_fit = None if fit is None else min(max(fit, 0.0), 1.0)

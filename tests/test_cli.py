@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from steerkit import cli, montecarlo, qcore
 from steerkit.criteria import Criterion, Scenario, closed_form
-from steerkit.expio import MAX_BOOTSTRAP, synthesize_counts, write_counts
+from steerkit.expio import MAX_BOOTSTRAP, CountsData, synthesize_counts, write_counts
 from steerkit.montecarlo import CHUNK_SIZE, MAX_SAMPLES
 
 
@@ -372,9 +372,9 @@ class TestThresholdCommand:
 class TestAnalyzeCommand:
     def make_counts(self, tmp_path, m=3, mu=0.963, total=10_000_000):
         alice, bob = qcore.nom_settings(m)
-        records = synthesize_counts(mu, alice, bob, total)
+        data = synthesize_counts(mu, alice, bob, total)
         path = tmp_path / "counts.csv"
-        write_counts(records, path)
+        write_counts(data, path)
         return path
 
     def test_synthetic_nom_three_settings(self, tmp_path):
@@ -460,12 +460,9 @@ class TestAnalyzeCommand:
 
     def test_attach_mode_supplies_vectors(self, tmp_path):
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.963, alice, bob, 1_000_000)
-        bare = [
-            type(rec)(rec.setting, rec.counts) for rec in records
-        ]
+        data = synthesize_counts(0.963, alice, bob, 1_000_000)
         path = tmp_path / "bare.csv"
-        write_counts(bare, path)
+        write_counts(CountsData(data.counts), path)
         result = run_cli(
             "analyze", "--input", str(path), "--criteria", "db",
             "--bootstrap", "0", "--jitter", "0", "--mode", "nom",
@@ -478,8 +475,7 @@ class TestAnalyzeCommand:
 def bare_counts(path, m=2):
     """A counts file without measurement vectors."""
     alice, bob = qcore.nom_settings(m)
-    records = synthesize_counts(0.963, alice, bob, 10_000)
-    write_counts([type(rec)(rec.setting, rec.counts) for rec in records], path)
+    write_counts(CountsData(synthesize_counts(0.963, alice, bob, 10_000).counts), path)
     return path
 
 
@@ -551,21 +547,36 @@ def _valid_counts_texts():
     texts = []
     with tempfile.TemporaryDirectory() as tmp:
         for m in (2, 3):
-            records = synthesize_counts(0.963, *qcore.nom_settings(m), 1000)
-            for recs in (records, [type(rec)(rec.setting, rec.counts) for rec in records]):
+            data = synthesize_counts(0.963, *qcore.nom_settings(m), 1000)
+            for dataset in (data, CountsData(data.counts)):
                 path = os.path.join(tmp, "counts.csv")
-                write_counts(recs, path)
+                write_counts(dataset, path)
                 with open(path) as stream:
                     texts.append(stream.read())
     return texts
 
 
+#: Values put in place of one field of one row: a vector that differs from the
+#: other rows of its setting by a little or only in its spelling, and numerals
+#: that int() and float() read but a counts file may not hold.
+FIELD_EDITS = st.sampled_from(
+    ("1.000009", "0.99999999999999989", "1e-300", "-0", "+1.", "1_0", "0_0", "1_000",
+     "\u0661", "\u0661\u0660", "\uff11", "\u0661.\u0665", "\u00a01", "1e1_0")
+)
+
+
 @st.composite
 def counts_files(draw, valid=_valid_counts_texts()):
-    """Bytes of a counts file: a valid one with a few splices, or any bytes."""
+    """Bytes of a counts file: a valid one with a few edits and splices, or any bytes."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=64))
-    text = draw(st.sampled_from(valid))
+    lines = draw(st.sampled_from(valid)).split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(1, len(lines) - 2))
+        fields = lines[row].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELD_EDITS)
+        lines[row] = ",".join(fields)
+    text = "\n".join(lines)
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(text)))
         cut = draw(st.integers(0, 4))

@@ -25,7 +25,7 @@ from steerkit.criteria import (
     sweep_rows_to_csv,
     tsallis_steering,
 )
-from steerkit.expio import CountsRecord, evaluate_with_errors, synthesize_counts
+from steerkit.expio import CountsData, evaluate_with_errors, synthesize_counts
 from steerkit.montecarlo import (
     MCConfig,
     raised_bound_table,
@@ -670,9 +670,8 @@ def _tables(cells):
     return [qcore.JointTable(np.reshape(cells[4 * k:4 * k + 4], (2, 2))) for k in range(2)]
 
 
-def _records(values):
-    counts, vecs = np.reshape(values[:8], (2, 2, 2)), np.reshape(values[8:20], (2, 2, 3))
-    return [CountsRecord(k + 1, counts[k], vecs[0, k], vecs[1, k]) for k in range(2)]
+def _counts_data(values):
+    return CountsData(np.reshape(values[:8], (2, 2, 2)), *np.reshape(values[8:20], (2, 2, 3)))
 
 
 _ALIGNED = [c for vec in qcore.mub_settings(2)[0] + qcore.mub_settings(2)[1] for c in vec]
@@ -695,7 +694,7 @@ NON_FINITE_ENTRIES = {
     "renyi_steering": ([*_SINGLET_CELLS, 0.75, 1.5], lambda v: [
         renyi_steering(_tables(v), v[8], v[9])]),
     "evaluate_with_errors": ([0, 500, 500, 0, 0, 500, 500, 0, *_ALIGNED, 0.1], lambda v: [
-        result for result, _ in evaluate_with_errors(_records(v), _FOUR, 10, v[20], seed=0)]),
+        result for result, _ in evaluate_with_errors(_counts_data(v), _FOUR, 10, v[20], seed=0)]),
 }
 
 
@@ -768,7 +767,7 @@ PAST_FLOAT_ENTRIES = {
     "violation_histogram bins": lambda x: violation_histogram(_MC, x),
     "raised_bound_table factor": lambda x: raised_bound_table((x,), 0.9, 1000),
     "raised_bound_table mu": lambda x: raised_bound_table((1.0,), x, 1000),
-    "CountsRecord counts": lambda x: CountsRecord(1, [[x, 1], [1, 1]]),
+    "CountsData counts": lambda x: CountsData([[[x, 1], [1, 1]]]),
     "synthesize_counts mu": lambda x: synthesize_counts(x, *_MUB2, 1000),
     "synthesize_counts total": lambda x: synthesize_counts(0.9, *_MUB2, x),
     "evaluate_with_errors bootstrap": lambda x: evaluate_with_errors(

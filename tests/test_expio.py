@@ -21,8 +21,8 @@ from steerkit.criteria import (
 )
 from steerkit.expio import (
     MAX_BOOTSTRAP,
+    CountsData,
     CountsFormatError,
-    CountsRecord,
     ErrorBudget,
     counts_to_table,
     evaluate_with_errors,
@@ -58,11 +58,11 @@ WELL_FORMED = """setting,a,b,counts
 
 class TestLoadCounts:
     def test_well_formed_two_settings(self, tmp_path):
-        records = load_counts(write_file(tmp_path, WELL_FORMED))
-        assert len(records) == 2
-        assert records[0].total == 1010
-        assert records[0].counts[0, 1] == 488
-        assert records[0].alice_vec is None
+        data = load_counts(write_file(tmp_path, WELL_FORMED))
+        assert data.counts.shape == (2, 2, 2) and data.counts.dtype == np.int64
+        assert data.counts[0].sum() == 1010
+        assert data.counts[0, 0, 1] == 488
+        assert data.alice is None and data.bob is None
 
     def test_negative_count_names_line(self, tmp_path):
         bad = WELL_FORMED.replace("1,-1,+1,502", "1,-1,+1,-3")
@@ -153,8 +153,8 @@ class TestLoadCounts:
         # the file is split into lines as text mode with newline="" splits it
         path = tmp_path / "counts.csv"
         path.write_bytes(WELL_FORMED.replace("\n", newline).encode())
-        assert [rec.counts.tolist() for rec in load_counts(path)] == [
-            rec.counts.tolist() for rec in load_counts(write_file(tmp_path, WELL_FORMED, "lf.csv"))]
+        assert load_counts(path).counts.tolist() == (
+            load_counts(write_file(tmp_path, WELL_FORMED, "lf.csv")).counts.tolist())
 
     def test_each_vector_component_named(self, tmp_path):
         # read "vector components must be numbers", whichever of the six it was
@@ -174,21 +174,18 @@ class TestLoadCounts:
 
     def test_vector_round_trip(self, tmp_path):
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 100000)
+        data = synthesize_counts(0.9, alice, bob, 100000)
         path = tmp_path / "synthetic.csv"
-        write_counts(records, path)
+        write_counts(data, path)
         loaded = load_counts(path)
-        assert len(loaded) == 2
-        for orig, back in zip(records, loaded):
-            assert np.array_equal(orig.counts, back.counts)
-            assert np.allclose(orig.alice_vec, back.alice_vec, atol=1e-15)
-            assert np.allclose(orig.bob_vec, back.bob_vec, atol=1e-15)
+        assert np.array_equal(data.counts, loaded.counts)
+        assert np.array_equal(data.alice, loaded.alice) and np.array_equal(data.bob, loaded.bob)
 
     def test_inconsistent_vectors_rejected(self, tmp_path):
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 1000)
+        data = synthesize_counts(0.9, alice, bob, 1000)
         path = tmp_path / "synthetic.csv"
-        write_counts(records, path)
+        write_counts(data, path)
         lines = path.read_text().split("\n")
         parts = lines[1].split(",")
         parts[4] = "0.123"
@@ -196,6 +193,62 @@ class TestLoadCounts:
         path.write_text("\n".join(lines))
         with pytest.raises(CountsFormatError, match="vectors differ"):
             load_counts(path)
+
+    @pytest.mark.parametrize("row, value", [(3, "1.000009"), (4, "0.99999999999999989")])
+    def test_vectors_differ_in_any_row(self, tmp_path, row, value):
+        # a non-unit az in the third row loaded silently: np.allclose passed it,
+        # and only the first row's vector was kept and checked
+        path = tmp_path / "synthetic.csv"
+        write_counts(synthesize_counts(0.9, *qcore.nom_settings(2), 1000), path)
+        lines = path.read_text().split("\n")
+        parts = lines[row].split(",")
+        assert parts[6] == "1"  # Alice's first direction is z
+        lines[row] = ",".join(parts[:6] + [value] + parts[7:])
+        path.write_text("\n".join(lines))
+        message = f"^line {row + 1}: vectors differ within setting 1$"
+        with pytest.raises(CountsFormatError, match=message):
+            load_counts(path)
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            # int() and float() read each of these as a number
+            (3, "1_0", "counts must be an integer, got '1_0'"),
+            (3, "\u0661\u0660", "counts must be an integer, got '\u0661\u0660'"),
+            (3, "\uff11\uff10", "counts must be an integer, got '\uff11\uff10'"),
+            (0, "\u0661", "setting must be an integer, got '\u0661'"),
+            (0, "0_1", "setting must be an integer, got '0_1'"),
+            (6, "1_0", "vector component az must be a number, got '1_0'"),
+            (6, "\u0661.0", "vector component az must be a number, got '\u0661.0'"),
+            (9, "1.0_0", "vector component bz must be a number, got '1.0_0'"),
+        ],
+    )
+    def test_numerals_are_ascii(self, tmp_path, column, text, message):
+        path = tmp_path / "synthetic.csv"
+        write_counts(synthesize_counts(0.9, *qcore.nom_settings(2), 1000), path)
+        lines = path.read_text().split("\n")
+        lines[1] = ",".join(text if k == column else part
+                            for k, part in enumerate(lines[1].split(",")))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(CountsFormatError, match=f"^line 2: {message}$"):
+            load_counts(path)
+
+    def test_ascii_numerals_in_every_form_accepted(self, tmp_path):
+        # a sign, surrounding whitespace and the float forms of Python's float()
+        data = synthesize_counts(0.9, *qcore.nom_settings(2), 1000)
+        path = tmp_path / "synthetic.csv"
+        write_counts(data, path)
+        lines = path.read_text().split("\n")
+        forms = {"0": ["+0.", " .0e0 ", "-0.0E+00", "0e-5", "\t0\n"], "1": ["1.", "+1E0", " 10e-1"]}
+        for k in range(1, 5):  # setting 1, each row spelt its own way
+            parts = lines[k].split(",")
+            parts = [f" +{p} " if c in (0, 3) else p for c, p in enumerate(parts)]
+            parts[4:] = [f'"{forms[p][(k + c) % len(forms[p])]}"' for c, p in enumerate(parts[4:])]
+            lines[k] = ",".join(parts)
+        path.write_text("\n".join(lines))
+        loaded = load_counts(path)  # spelt differently, the four rows hold equal floats
+        assert np.array_equal(loaded.counts, data.counts)
+        assert np.array_equal(loaded.alice, data.alice) and np.array_equal(loaded.bob, data.bob)
 
     @pytest.mark.parametrize("column, value", [(4, "nan"), (8, "inf"), (9, "-inf")])
     def test_non_finite_vector_component_named(self, tmp_path, column, value):
@@ -210,6 +263,36 @@ class TestLoadCounts:
         name = ("ax", "ay", "az", "bx", "by", "bz")[column - 4]
         with pytest.raises(CountsFormatError, match=f"line 2: vector component {name} must be finite"):
             load_counts(path)
+
+
+@st.composite
+def datasets(draw):
+    """A CountsData: m settings of counts in [0, 2**53) and, mostly, drawn unit directions."""
+    m = draw(st.integers(1, 4))
+    cells = st.integers(0, 3) | st.integers(0, 2 ** 53 - 1)
+    counts = np.array(draw(st.lists(cells, min_size=4 * m, max_size=4 * m))).reshape(m, 2, 2)
+    counts[:, 0, 0] += counts.sum(axis=(1, 2)) == 0  # no zero-total setting
+    if draw(st.integers(0, 4)) == 0:
+        return CountsData(counts)
+    coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+    vecs = np.array(draw(st.lists(coords, min_size=6 * m, max_size=6 * m))).reshape(2, m, 3)
+    norms = np.linalg.norm(vecs, axis=2, keepdims=True)
+    vecs = np.where(norms > 1e-3, vecs / np.where(norms > 1e-3, norms, 1.0), [0.0, 0.0, -1.0])
+    return CountsData(counts, *vecs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=datasets())
+def test_write_then_load_round_trips(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("round") / "counts.csv"
+    write_counts(data, path)
+    loaded = load_counts(path)
+    assert loaded.counts.dtype == np.int64 and np.array_equal(loaded.counts, data.counts)
+    if data.alice is None:
+        assert loaded.alice is None and loaded.bob is None
+        return
+    for back, orig in ((loaded.alice, data.alice), (loaded.bob, data.bob)):
+        assert back.tobytes() == orig.tobytes()  # bit for bit, the sign of a zero too
 
 
 class TestSynthesizeCounts:
@@ -238,20 +321,23 @@ class TestSynthesizeCounts:
 
 class TestCountsToTable:
     def test_uniform(self):
-        table = counts_to_table(CountsRecord(1, np.full((2, 2), 100)))
+        table = counts_to_table(np.full((2, 2), 100))
         assert np.allclose(table.probs, 0.25, atol=1e-15)
 
     def test_anticorrelated(self):
-        table = counts_to_table(CountsRecord(1, np.array([[0, 500], [500, 0]])))
+        table = counts_to_table(np.array([[0, 500], [500, 0]]))
         assert np.allclose(table.probs, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
 
     def test_simple_arithmetic(self):
-        table = counts_to_table(CountsRecord(1, np.array([[10, 40], [40, 10]])))
+        table = counts_to_table(CountsData([[[10, 40], [40, 10]]]).counts[0])
         assert np.isclose(table.prob(+1, +1), 0.1, atol=1e-15)
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            CountsRecord(1, np.zeros((2, 2), dtype=int))
+        for k in range(3):  # named by its number, k + 1
+            counts = np.ones((3, 2, 2), dtype=np.int64)
+            counts[k] = 0
+            with pytest.raises(ValueError, match=f"^setting {k + 1} has zero total counts$"):
+                CountsData(counts)
 
     @pytest.mark.parametrize(
         "counts",
@@ -265,41 +351,86 @@ class TestCountsToTable:
     )
     def test_fractional_or_non_finite_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="whole numbers below"):
-            CountsRecord(1, np.array(counts))
+            CountsData(np.array([[[1, 1], [1, 1]], counts]))
 
     def test_integer_valued_float_counts_accepted(self):
-        record = CountsRecord(1, np.array([[10.0, 40.0], [40.0, 10.0]]))
-        assert record.counts.dtype == np.int64
-        assert record.counts.tolist() == [[10, 40], [40, 10]]
-        assert record.total == 100
+        data = CountsData(np.array([[[10.0, 40.0], [40.0, 10.0]]]))
+        assert data.counts.dtype == np.int64
+        assert data.counts.tolist() == [[[10, 40], [40, 10]]]
+
+
+Z_AXIS, X_AXIS = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+
+
+class TestCountsData:
+    """One test per rule the constructor checks, each with its message."""
+
+    @pytest.mark.parametrize("counts", [np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((1, 4, 1, 1))])
+    def test_shape(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must have shape \(m, 2, 2\), got shape"):
+            CountsData(counts)
+
+    def test_no_settings(self):
+        with pytest.raises(ValueError, match="^no count rows found$"):
+            CountsData(np.zeros((0, 2, 2), dtype=np.int64))
+
+    def test_negative(self):
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            CountsData([[[1, 2], [3, 4]], [[1, -2], [3, 4]]])
+
+    @pytest.mark.parametrize("party", ["alice", "bob"])
+    def test_unit_directions(self, party):
+        vectors = {"alice": [Z_AXIS, X_AXIS], "bob": [Z_AXIS, X_AXIS]}
+        vectors[party] = [Z_AXIS, (1.0, 0.0, 1e-3)]
+        with pytest.raises(ValueError, match=r"^measurement direction must be unit norm"):
+            CountsData(np.ones((2, 2, 2)), **vectors)
+        vectors[party] = [Z_AXIS, (1.0, 0.0, math.nan)]
+        with pytest.raises(ValueError, match="must be unit norm"):
+            CountsData(np.ones((2, 2, 2)), **vectors)
+
+    @pytest.mark.parametrize("directions", [[Z_AXIS], [Z_AXIS, X_AXIS, X_AXIS], [(0.0, 1.0)] * 2])
+    def test_one_direction_per_setting(self, directions):
+        with pytest.raises(ValueError, match=r"^bob directions must have shape \(2, 3\), got"):
+            CountsData(np.ones((2, 2, 2)), [Z_AXIS, X_AXIS], directions)
+
+    def test_both_parties_or_neither(self):
+        message = "^measurement vectors must be recorded for both parties on every setting or on none"
+        for vectors in ({"alice": [Z_AXIS, X_AXIS]}, {"bob": [Z_AXIS, X_AXIS]}):
+            with pytest.raises(ValueError, match=message):
+                CountsData(np.ones((2, 2, 2)), **vectors)
+
+    def test_read_only_copies(self):
+        counts, alice = np.ones((2, 2, 2), dtype=np.int64), np.array([Z_AXIS, X_AXIS])
+        data = CountsData(counts, alice, alice)
+        counts[0, 0, 0] = alice[0, 0] = 7
+        assert data.counts[0, 0, 0] == 1 and data.alice[0, 0] == 0.0
+        for array in (data.counts, data.alice, data.bob):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 2
 
 
 class TestVisibilityFit:
     def test_exact_recovery(self):
         for mu in (0.3, 0.7, 0.963):
             alice, bob = qcore.nom_settings(3)
-            records = synthesize_counts(mu, alice, bob, 10_000_000)
-            assert abs(fit_visibility(records) - mu) < 1e-6
+            data = synthesize_counts(mu, alice, bob, 10_000_000)
+            assert abs(fit_visibility(data) - mu) < 1e-6
 
     def test_needs_vectors(self):
-        record = CountsRecord(1, np.full((2, 2), 50))
-        with pytest.raises(ValueError):
-            fit_visibility([record])
+        with pytest.raises(ValueError, match="need measurement vectors"):
+            fit_visibility(CountsData(np.full((1, 2, 2), 50)))
 
     def test_orthogonal_overlaps_unidentifiable(self):
-        z = np.array([0.0, 0.0, 1.0])
-        x = np.array([1.0, 0.0, 0.0])
-        record = CountsRecord(1, np.full((2, 2), 50), alice_vec=z, bob_vec=x)
-        with pytest.raises(ValueError):
-            fit_visibility([record])
+        with pytest.raises(ValueError, match="all measurement overlaps vanish"):
+            fit_visibility(CountsData(np.full((1, 2, 2), 50), [Z_AXIS], [X_AXIS]))
 
 
 class TestEvaluateWithErrors:
     def test_noiseless_matches_closed_form(self):
         mu = 0.963
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(mu, alice, bob, 10_000_000)
-        out = evaluate_with_errors(records, [SHANNON, TSALLIS2, RENYI, DB], bootstrap=0, jitter_deg=0.0)
+        data = synthesize_counts(mu, alice, bob, 10_000_000)
+        out = evaluate_with_errors(data, [SHANNON, TSALLIS2, RENYI, DB], bootstrap=0, jitter_deg=0.0)
         scen = Scenario(mu=mu, m=2, mode="nom")
         for (result, budget), criterion in zip(out, [SHANNON, TSALLIS2, RENYI, DB]):
             assert abs(result.value - closed_form(scen, criterion)) < 1e-5
@@ -310,8 +441,8 @@ class TestEvaluateWithErrors:
         alice, bob = qcore.nom_settings(2)
         sigmas = []
         for total in (1_000, 10_000, 100_000):
-            records = synthesize_counts(mu, alice, bob, total)
-            out = evaluate_with_errors(records, [TSALLIS2], bootstrap=400, jitter_deg=0.0, seed=17)
+            data = synthesize_counts(mu, alice, bob, total)
+            out = evaluate_with_errors(data, [TSALLIS2], bootstrap=400, jitter_deg=0.0, seed=17)
             sigmas.append(out[0][1].stat)
         # 1/sqrt(N) scaling within 20 percent
         for lo, hi in zip(sigmas[1:], sigmas[:-1]):
@@ -323,8 +454,8 @@ class TestEvaluateWithErrors:
         mu = 0.91
         for m, criteria in ((2, [SHANNON, TSALLIS2, RENYI, DB]), (3, [SHANNON, TSALLIS2, DB])):
             alice, bob = qcore.nom_settings(m)
-            records = synthesize_counts(mu, alice, bob, 10_000_000, seed=99)
-            out = evaluate_with_errors(records, criteria, bootstrap=200, jitter_deg=0.0, seed=7)
+            data = synthesize_counts(mu, alice, bob, 10_000_000, seed=99)
+            out = evaluate_with_errors(data, criteria, bootstrap=200, jitter_deg=0.0, seed=7)
             scen = Scenario(mu=mu, m=m, mode="nom")
             for (result, budget), criterion in zip(out, criteria):
                 target = closed_form(scen, criterion)
@@ -332,19 +463,16 @@ class TestEvaluateWithErrors:
 
     def test_point_estimate_invariant_under_rescaling(self):
         alice, bob = qcore.mub_settings(2, 15.0, 0.0)
-        records = synthesize_counts(0.85, alice, bob, 10_000)
-        scaled = [
-            CountsRecord(rec.setting, rec.counts * 7, rec.alice_vec, rec.bob_vec)
-            for rec in records
-        ]
-        base = evaluate_with_errors(records, [TSALLIS2], bootstrap=0, jitter_deg=0.0)
+        data = synthesize_counts(0.85, alice, bob, 10_000)
+        scaled = CountsData(data.counts * 7, data.alice, data.bob)
+        base = evaluate_with_errors(data, [TSALLIS2], bootstrap=0, jitter_deg=0.0)
         big = evaluate_with_errors(scaled, [TSALLIS2], bootstrap=0, jitter_deg=0.0)
         assert np.isclose(base[0][0].value, big[0][0].value, atol=1e-12)
 
     def test_systematic_error_from_jitter(self):
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.95, alice, bob, 1_000_000)
-        out = evaluate_with_errors(records, [TSALLIS2, DB], bootstrap=200, jitter_deg=0.5, seed=21)
+        data = synthesize_counts(0.95, alice, bob, 1_000_000)
+        out = evaluate_with_errors(data, [TSALLIS2, DB], bootstrap=200, jitter_deg=0.5, seed=21)
         for result, budget in out:
             assert budget.sys > 0.0
             assert np.isclose(budget.total, math.hypot(budget.stat, budget.sys), atol=1e-15)
@@ -355,29 +483,23 @@ class TestEvaluateWithErrors:
         assert budget.total >= max(budget.stat, budget.sys)
 
     def test_jitter_needs_vectors(self):
-        records = [
-            CountsRecord(1, np.full((2, 2), 50)),
-            CountsRecord(2, np.full((2, 2), 50)),
-        ]
+        data = CountsData(np.full((2, 2, 2), 50))
         with pytest.raises(ValueError, match="vectors"):
-            evaluate_with_errors(records, [TSALLIS2], bootstrap=10, jitter_deg=0.1)
+            evaluate_with_errors(data, [TSALLIS2], bootstrap=10, jitter_deg=0.1)
         # without jitter and without db, vectors are unnecessary
-        out = evaluate_with_errors(records, [TSALLIS2], bootstrap=10, jitter_deg=0.0)
+        out = evaluate_with_errors(data, [TSALLIS2], bootstrap=10, jitter_deg=0.0)
         assert len(out) == 1
 
     def test_db_needs_vectors(self):
-        records = [
-            CountsRecord(1, np.full((2, 2), 50)),
-            CountsRecord(2, np.full((2, 2), 50)),
-        ]
+        data = CountsData(np.full((2, 2, 2), 50))
         with pytest.raises(ValueError, match="vectors"):
-            evaluate_with_errors(records, [DB], bootstrap=0, jitter_deg=0.0)
+            evaluate_with_errors(data, [DB], bootstrap=0, jitter_deg=0.0)
 
     def test_renyi_needs_two_settings(self):
         alice, bob = qcore.nom_settings(3)
-        records = synthesize_counts(0.9, alice, bob, 1000)
+        data = synthesize_counts(0.9, alice, bob, 1000)
         with pytest.raises(ValueError, match="settings"):
-            evaluate_with_errors(records, [RENYI], bootstrap=0, jitter_deg=0.0)
+            evaluate_with_errors(data, [RENYI], bootstrap=0, jitter_deg=0.0)
 
     @pytest.mark.parametrize(
         "bootstrap, jitter_deg",
@@ -386,18 +508,18 @@ class TestEvaluateWithErrors:
     def test_rejects_negative_bootstrap_or_bad_jitter(self, bootstrap, jitter_deg):
         # these used to report stat_err or sys_err 0 without a word
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 1000)
+        data = synthesize_counts(0.9, alice, bob, 1000)
         with pytest.raises(ValueError):
-            evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=jitter_deg)
+            evaluate_with_errors(data, [TSALLIS2], bootstrap=bootstrap, jitter_deg=jitter_deg)
 
     @pytest.mark.parametrize("bootstrap, seed", [(2.5, 0), (True, 0), (10, 1.5), (10, None)])
     def test_rejects_non_integer_bootstrap_or_seed(self, monkeypatch, bootstrap, seed):
         # 2.5, True and 1.5 raised TypeError inside numpy; None drew an unseeded stream
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 1000)
+        data = synthesize_counts(0.9, alice, bob, 1000)
         monkeypatch.setattr(np.random, "default_rng", None)
         with pytest.raises(ValueError, match="must be an integer"):
-            evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, seed=seed)
+            evaluate_with_errors(data, [TSALLIS2], bootstrap=bootstrap, seed=seed)
 
     def test_rejects_an_error_budget_that_overflows(self):
         # Bob 1e-100 from orthogonal, with |(a1 x a2).(b1 x b2)| = 0.4 below the
@@ -407,26 +529,26 @@ class TestEvaluateWithErrors:
         alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
         side, top = math.sqrt(0.6), math.sqrt(0.4)
         bob = [np.array([top, side, 1e-100]), np.array([1e-100, side, top])]
-        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        data = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
         with pytest.raises(ValueError, match="error budget overflows"):
             with np.errstate(over="ignore"):
-                evaluate_with_errors(records, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
+                evaluate_with_errors(data, [DB], bootstrap=200, jitter_deg=0.0, seed=1)
 
     def test_rejects_oversized_bootstrap_before_drawing(self, monkeypatch):
         # 1e12 replicates ended in a MemoryError from rng.poisson
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 1000)
+        data = synthesize_counts(0.9, alice, bob, 1000)
         monkeypatch.setattr(np.random, "default_rng", None)
         for bootstrap in (MAX_BOOTSTRAP + 1, 10 ** 12):
             with pytest.raises(ValueError, match="bootstrap replicate count"):
-                evaluate_with_errors(records, [TSALLIS2], bootstrap=bootstrap, jitter_deg=0.0)
+                evaluate_with_errors(data, [TSALLIS2], bootstrap=bootstrap, jitter_deg=0.0)
         assert MAX_BOOTSTRAP >= 1000  # the README's and the analyze benchmark's size
 
     def test_deterministic_given_seed(self):
         alice, bob = qcore.nom_settings(2)
-        records = synthesize_counts(0.9, alice, bob, 10_000, seed=5)
-        first = evaluate_with_errors(records, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
-        second = evaluate_with_errors(records, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
+        data = synthesize_counts(0.9, alice, bob, 10_000, seed=5)
+        first = evaluate_with_errors(data, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
+        second = evaluate_with_errors(data, [TSALLIS2, DB], bootstrap=100, jitter_deg=0.2, seed=9)
         assert first == second
 
     def test_db_bootstrap_keeps_replicate_fits_above_one(self):
@@ -436,81 +558,85 @@ class TestEvaluateWithErrors:
         # shrank the db error budget far below the true scatter.
         alice_1 = (0.38406116370763022, 0.54320532599284299, 0.74660899830135319)
         alice_2 = (0.43102272923032103, 0.60962644564634449, -0.66526310859347215)
-        records = [
-            CountsRecord(1, [[78, 552], [541, 59]], alice_1, (0.0, 0.0, 1.0)),
-            CountsRecord(2, [[169, 449], [442, 185]], alice_2, (1.0, 0.0, 0.0)),
-        ]
-        assert fit_visibility(records) > 1.0
+        data = CountsData([[[78, 552], [541, 59]], [[169, 449], [442, 185]]],
+                          [alice_1, alice_2], [Z_AXIS, X_AXIS])
+        assert fit_visibility(data) > 1.0
         [(result, budget)] = evaluate_with_errors(
-            records, [DB], bootstrap=1000, jitter_deg=0.1, seed=2009872275
+            data, [DB], bootstrap=1000, jitter_deg=0.1, seed=2009872275
         )
         scen = Scenario(mu=0.95991549, alpha_deg=41.7025, phi_deg=54.7386, m=2)
         assert abs(result.value - closed_form(scen, DB)) <= 5.0 * budget.total + 1e-3
 
 
-def relabelled(numbers, vectors=True):
-    """Records of a valid m = 2 dataset, renumbered (and repeated) as ``numbers``."""
-    records = synthesize_counts(0.9, *qcore.mub_settings(2, 10.0, 20.0), 1000)
-    return [
-        CountsRecord(number, records[k % 2].counts,
-                     *((records[k % 2].alice_vec, records[k % 2].bob_vec) if vectors else ()))
-        for k, number in enumerate(numbers)
-    ]
+def mub_dataset():
+    """A valid m = 2 dataset with directions."""
+    return synthesize_counts(0.9, *qcore.mub_settings(2, 10.0, 20.0), 1000)
 
 
-#: Each entry point that reads a counts dataset, called on a list of records.
+#: Each entry point that reads a counts dataset, called on one.
 DATASET_READERS = {
-    "evaluate_with_errors": lambda records, path: evaluate_with_errors(
-        records, [SHANNON], bootstrap=10, jitter_deg=0.0),
-    "fit_visibility": lambda records, path: fit_visibility(records),
-    "write_counts": lambda records, path: write_counts(records, path),
+    "evaluate_with_errors": lambda data, path: evaluate_with_errors(
+        data, [SHANNON], bootstrap=10, jitter_deg=0.0),
+    "fit_visibility": lambda data, path: fit_visibility(data),
+    "write_counts": lambda data, path: write_counts(data, path),
 }
 
 
 class TestDatasetRule:
-    """One rule for a counts dataset, whichever entry point reads it."""
+    """One rule for a counts dataset, whichever entry point reads it.
+
+    The rule is :class:`CountsData`'s, checked on construction, so no entry
+    point is handed a dataset that breaks it and none writes a file.
+    """
 
     @pytest.mark.parametrize("reader", sorted(DATASET_READERS))
     @pytest.mark.parametrize(
         "numbers, message",
         [
-            # empty records failed inside numpy ("need at least one array to stack")
-            # or wrote a header alone; the repeat and the gap were read as two settings
+            # an empty list of records failed inside numpy ("need at least one array to stack")
+            # or wrote a header alone
             ((), "no count rows found"),
-            ((1, 1), r"settings must be contiguous from 1, got \[1, 1\]"),
-            ((1, 3), r"settings must be contiguous from 1, got \[1, 3\]"),
-            ((2, 1, 2), r"settings must be contiguous from 1, got \[1, 2, 2\]"),
         ],
     )
     def test_numbering(self, tmp_path, reader, numbers, message):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=message):
-            DATASET_READERS[reader](relabelled(numbers), path)
+            DATASET_READERS[reader](CountsData(np.zeros((len(numbers), 2, 2))), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("reader", sorted(DATASET_READERS))
     def test_directions_on_every_setting_or_none(self, tmp_path, reader):
-        full, bare = relabelled((1, 2)), relabelled((1, 2), vectors=False)
-        alice_only = [CountsRecord(rec.setting, rec.counts, rec.alice_vec) for rec in full]
-        for records in ([full[0], bare[1]], [bare[0], full[1]], alice_only):
+        data = mub_dataset()
+        for vectors in ((data.alice, None), (None, data.bob)):
             with pytest.raises(ValueError, match="for both parties on every setting or on none"):
-                DATASET_READERS[reader](records, tmp_path / "out.csv")
+                DATASET_READERS[reader](CountsData(data.counts, *vectors), tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
-    def test_one_setting_evaluated_once(self):
-        # [r1, r1] reported Shannon +0.262, steerable, from one setting counted twice
-        [r1] = relabelled((1,))
-        with pytest.raises(ValueError, match="contiguous"):
-            evaluate_with_errors([r1, r1], [SHANNON], jitter_deg=0.0)
+    def test_one_setting_evaluated_once(self, tmp_path):
+        # [r1, r1] reported Shannon +0.262, steerable, from one setting counted twice;
+        # given twice with its directions, Bob's repeated direction is refused
+        data = mub_dataset()
+        twice = CountsData(data.counts[[0, 0]], data.alice[[0, 0]], data.bob[[0, 0]])
+        with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 1"):
+            evaluate_with_errors(twice, [SHANNON], jitter_deg=0.0)
+        # and a file cannot list one setting twice
+        write_counts(twice, tmp_path / "twice.csv")
+        text = (tmp_path / "twice.csv").read_text().replace("\n2,", "\n1,")
+        with pytest.raises(CountsFormatError, match=r"line 6: duplicate entry for setting 1"):
+            load_counts(write_file(tmp_path, text))
 
     def test_records_in_any_order(self, tmp_path):
-        records = relabelled((1, 2))
-        forward = evaluate_with_errors(records, [SHANNON, DB], bootstrap=50, seed=3)
-        assert evaluate_with_errors(records[::-1], [SHANNON, DB], bootstrap=50, seed=3) == forward
-        assert fit_visibility(records[::-1]) == fit_visibility(records)
-        write_counts(records[::-1], tmp_path / "reversed.csv")
-        write_counts(records, tmp_path / "forward.csv")
-        assert (tmp_path / "reversed.csv").read_bytes() == (tmp_path / "forward.csv").read_bytes()
+        # a file's rows may come in any order; the dataset is in setting order
+        forward = mub_dataset()
+        write_counts(forward, tmp_path / "forward.csv")
+        header, *rows = (tmp_path / "forward.csv").read_text().splitlines()
+        shuffled = write_file(tmp_path, "\n".join([header] + rows[::-3] + rows[-2::-3]
+                                                   + rows[-3::-3]) + "\n")
+        data = load_counts(shuffled)
+        assert np.array_equal(data.counts, forward.counts)
+        assert np.array_equal(data.alice, forward.alice) and np.array_equal(data.bob, forward.bob)
+        write_counts(data, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "forward.csv").read_bytes()
 
 
 def near_orthogonal(offsets, alice=None):
@@ -534,27 +660,26 @@ class TestUnidentifiableFit:
         # with stat_err 2.8e5
         poisson = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
         # fitted 1e5 and was certified too; the binomial variance (1 - E^2)/N is 0 here
-        perfect = [CountsRecord(k + 1, [[0, 500], [500, 0]], alice[k], bob[k]) for k in range(2)]
-        for records in (poisson, perfect):
+        perfect = CountsData([[[0, 500], [500, 0]]] * 2, alice, bob)
+        for data in (poisson, perfect):
             with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
-                evaluate_with_errors(records, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
+                evaluate_with_errors(data, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
 
     def test_db_refused_on_a_fit_far_above_one(self):
         # Bob 1e-2 from orthogonal: the fit is 100.0 with a standard error of 3.5e-5,
         # was clipped to 1, and db read +0.0884, steerable
         alice, bob = near_orthogonal([1e-2, 1e-2])
-        records = [CountsRecord(k + 1, [[0, 10**6], [10**6, 0]], alice[k], bob[k])
-                   for k in range(2)]
+        data = CountsData([[[0, 10**6], [10**6, 0]]] * 2, alice, bob)
         with pytest.raises(ValueError, match="counts contradict the recorded directions"):
-            evaluate_with_errors(records, [DB], bootstrap=100, jitter_deg=0.0)
+            evaluate_with_errors(data, [DB], bootstrap=100, jitter_deg=0.0)
 
     def test_entropic_criteria_refused_on_these_directions(self):
         # near_orthogonal tilts Bob's two directions towards each other, so they
         # overlap by sin(2e-5), where the orthogonal bound does not hold
         alice, bob = near_orthogonal([1e-5, 1e-5])
-        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        data = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
         with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 2e-05"):
-            evaluate_with_errors(records, [SHANNON], bootstrap=100)
+            evaluate_with_errors(data, [SHANNON], bootstrap=100)
 
     def test_entropic_criteria_still_evaluated(self):
         # Bob along x' = cos(e) x + sin(e) z and z' = cos(e) z - sin(e) x, orthogonal
@@ -565,20 +690,20 @@ class TestUnidentifiableFit:
         alice = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
         bob = [math.cos(eps) * alice[1] + math.sin(eps) * alice[0],
                math.cos(eps) * alice[0] - math.sin(eps) * alice[1]]
-        records = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
+        data = synthesize_counts(0.9, alice, bob, 10_000, seed=2)
         with pytest.raises(ValueError, match="visibility fit is unidentifiable"):
-            evaluate_with_errors(records, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
-        [(result, budget)] = evaluate_with_errors(records, [SHANNON], bootstrap=100)
+            evaluate_with_errors(data, [SHANNON, DB], bootstrap=100, jitter_deg=0.0)
+        [(result, budget)] = evaluate_with_errors(data, [SHANNON], bootstrap=100)
         assert math.isfinite(result.value) and math.isfinite(budget.total)
-        assert abs(fit_visibility(records)) > 100.0  # the fit itself is not refused
+        assert abs(fit_visibility(data)) > 100.0  # the fit itself is not refused
 
     def test_benchmark_sized_fit_accepted(self):
         # overlaps of 0.35 and 1000 counts per setting, as in the analyze benchmark
         alice, bob = near_orthogonal([math.asin(0.35)] * 2)
         for mu in (0.0, 0.9, 1.0):
-            records = synthesize_counts(mu, alice, bob, 1000, seed=4)
-            assert abs(fit_visibility(records) - mu) < 0.2
-            evaluate_with_errors(records, [DB], bootstrap=100)
+            data = synthesize_counts(mu, alice, bob, 1000, seed=4)
+            assert abs(fit_visibility(data) - mu) < 0.2
+            evaluate_with_errors(data, [DB], bootstrap=100)
 
     def test_uncorrelated_counts_never_certify_db(self):
         # 400 datasets, fixed before the rule was run: mu = 0, m = 2 or 3, a random
@@ -591,9 +716,9 @@ class TestUnidentifiableFit:
             frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
             offsets = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-4.0, 0.0, m)
             alice, bob = near_orthogonal(offsets, list(frame[:m]))
-            records = synthesize_counts(0.0, alice, bob, 10_000, seed=i)
+            data = synthesize_counts(0.0, alice, bob, 10_000, seed=i)
             try:
-                [(result, _)] = evaluate_with_errors(records, [DB], bootstrap=0, jitter_deg=0.0)
+                [(result, _)] = evaluate_with_errors(data, [DB], bootstrap=0, jitter_deg=0.0)
             except ValueError:
                 refused += 1
                 continue
@@ -605,13 +730,13 @@ class TestUnidentifiableFit:
         assert reachable > 0
 
 
-def product_records(total=10 ** 6):
+def product_data(total=10 ** 6):
     """|0> (x) |n>: Alice along z twice, Bob along z and (sqrt(3)/2, 0, 1/2), n halfway."""
     z, n = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, math.sqrt(3.0) / 2.0])
     bob = [z, np.array([math.sqrt(3.0) / 2.0, 0.0, 0.5])]
     cells = [[[(1 + a) * (1 + b * np.dot(n, v)) / 4 * total for b in (1, -1)] for a in (1, -1)]
              for v in bob]
-    return [CountsRecord(k + 1, np.rint(cells[k]), z, bob[k]) for k in range(2)]
+    return CountsData(np.rint(cells), [z, z], bob)
 
 
 class TestBobOrthogonality:
@@ -620,20 +745,19 @@ class TestBobOrthogonality:
         # total_err <= 0.001, from a state that cannot steer
         for criterion in (SHANNON, TSALLIS2, RENYI):
             with pytest.raises(ValueError, match=r"pairwise orthogonal, got \|b1.b2\| = 0.5$"):
-                evaluate_with_errors(product_records(), [criterion])
+                evaluate_with_errors(product_data(), [criterion])
 
     def test_checked_after_the_settings_count(self):
-        records = product_records()
-        four = [CountsRecord(k + 1, rec.counts, rec.alice_vec, rec.bob_vec)
-                for k, rec in enumerate(records + records)]
+        data = product_data()
+        four = CountsData(*(np.concatenate([a, a]) for a in (data.counts, data.alice, data.bob)))
         with pytest.raises(ValueError, match="no built-in bound for 4 settings"):
             evaluate_with_errors(four, [SHANNON], bootstrap=0, jitter_deg=0.0)
 
     def test_records_without_directions_keep_the_orthogonal_bound(self):
         # nothing says which directions Bob measured along: orthogonal ones are assumed
-        bare = [CountsRecord(rec.setting, rec.counts) for rec in product_records()]
+        bare = CountsData(product_data().counts)
         [(result, _)] = evaluate_with_errors(bare, [SHANNON], bootstrap=0, jitter_deg=0.0)
-        assert result.value == tsallis_steering([counts_to_table(rec) for rec in bare], 1.0).value
+        assert result.value == tsallis_steering([counts_to_table(c) for c in bare.counts], 1.0).value
 
 
 def reference_db_value(alice, bob, mu):
@@ -740,14 +864,14 @@ class TestBatchedBootstrap:
         # the bound stated at MAX_BOOTSTRAP: tracemalloc measured 17.0 MB here
         # with and without the jitter, 9.6 MB of it the Poisson draws
         alice, bob = qcore.mub_settings(3, 20.0, 30.0)
-        records = synthesize_counts(0.95, alice, bob, 10_000, seed=3)
+        data = synthesize_counts(0.95, alice, bob, 10_000, seed=3)
         criteria = [SHANNON, TSALLIS2, DB]
         for jitter_deg in (0.0, 0.1):
             # a small call first, so that first-call costs stay out of the peak
-            evaluate_with_errors(records, criteria, bootstrap=10, jitter_deg=jitter_deg)
+            evaluate_with_errors(data, criteria, bootstrap=10, jitter_deg=jitter_deg)
             tracemalloc.start()
             try:
-                evaluate_with_errors(records, criteria, MAX_BOOTSTRAP, jitter_deg=jitter_deg)
+                evaluate_with_errors(data, criteria, MAX_BOOTSTRAP, jitter_deg=jitter_deg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -847,15 +971,15 @@ EMPTY_CELL_FILE = """setting,a,b,counts,ax,ay,az,bx,by,bz
 BENCHMARK_CRITERIA = {2: ["shannon", "tsallis2", "db", "renyi"], 3: ["shannon", "tsallis2", "db"]}
 
 
-def misses(records, scenario, tokens, seed):
+def misses(data, scenario, tokens, seed):
     """The criteria whose value lies more than 5 total errors from the closed form."""
-    evaluated = evaluate_with_errors(records, [Criterion.parse(t) for t in tokens], 1000, 0.1, seed)
+    evaluated = evaluate_with_errors(data, [Criterion.parse(t) for t in tokens], 1000, 0.1, seed)
     return [token for token, (result, budget) in zip(tokens, evaluated)
             if abs(result.value - closed_form(scenario, Criterion.parse(token))) > 5 * budget.total]
 
 
 def empty_cell_datasets(seed, count):
-    """``(scenario, records)`` with an empty cell, drawn as the analyze benchmark draws its files.
+    """``(scenario, data)`` with an empty cell, drawn as the analyze benchmark draws its files.
 
     mu in [0.8, 1], alpha in [0, 45] and phi in [0, 60] degrees, 10**U(3, 5)
     Poisson counts per setting.  Draws whose smallest cell mean N (1 - mu u.v)/4
@@ -873,9 +997,9 @@ def empty_cell_datasets(seed, count):
         overlap = np.maximum(np.cos(np.radians(alpha)), (m == 3) * np.cos(np.radians(phi)))
         for k in np.flatnonzero(total * (1.0 - mu * overlap) / 4.0 <= 10.0):
             scenario = Scenario(mu=mu[k], alpha_deg=alpha[k], phi_deg=phi[k], m=int(m[k]))
-            records = synthesize_counts(mu[k], *scenario.settings(), total[k], seed=int(seeds[k]))
-            if any(rec.counts.min() == 0 for rec in records) and len(found) < count:
-                found.append((scenario, records))
+            data = synthesize_counts(mu[k], *scenario.settings(), total[k], seed=int(seeds[k]))
+            if data.counts.min() == 0 and len(found) < count:
+                found.append((scenario, data))
     return found
 
 
@@ -884,10 +1008,10 @@ class TestEmptyCells:
 
     def test_benchmark_file_within_five_errors(self, tmp_path):
         # Renyi read 0.6501 against 0.6109 with total_err 0.0031: 12.6 errors off
-        records = load_counts(write_file(tmp_path, EMPTY_CELL_FILE))
+        data = load_counts(write_file(tmp_path, EMPTY_CELL_FILE))
         scenario = Scenario(mu=0.9990576846751928, alpha_deg=0.046810408366160794,
                             phi_deg=22.645577341674812, m=2)
-        assert misses(records, scenario, BENCHMARK_CRITERIA[2], seed=1622077078) == []
+        assert misses(data, scenario, BENCHMARK_CRITERIA[2], seed=1622077078) == []
 
     def test_coverage_over_the_benchmark_range(self):
         # The bound was fixed before the first run: at most 3 of 150 datasets
@@ -895,8 +1019,8 @@ class TestEmptyCells:
         # on 1 of 1,075 and the others never (4 misses at a rate of 0.2 % have
         # odds of 3e-4); with Poisson(0) Renyi missed on 15 %.
         datasets = empty_cell_datasets(seed=9, count=150)
-        missed = [token for i, (scenario, records) in enumerate(datasets)
-                  for token in misses(records, scenario, BENCHMARK_CRITERIA[scenario.m], seed=i)]
+        missed = [token for i, (scenario, data) in enumerate(datasets)
+                  for token in misses(data, scenario, BENCHMARK_CRITERIA[scenario.m], seed=i)]
         assert all(missed.count(token) <= 3 for token in BENCHMARK_CRITERIA[2]), missed
 
 
@@ -939,17 +1063,17 @@ def test_entry_points_reject_or_return_finite(m, data, mu, total, counts_seed, b
     alice = data.draw(st.lists(direction(), min_size=m, max_size=m))
     bob = data.draw(st.lists(direction(), min_size=m, max_size=m))
     try:
-        records = synthesize_counts(mu, alice, bob, total, seed=counts_seed)
+        dataset = synthesize_counts(mu, alice, bob, total, seed=counts_seed)
     except ValueError:
         return
-    assert all(rec.total >= 1 for rec in records)
+    assert dataset.counts.sum(axis=(1, 2)).min() >= 1
     try:
-        assert math.isfinite(fit_visibility(records))
+        assert math.isfinite(fit_visibility(dataset))
     except ValueError:
         pass
     criteria = data.draw(st.lists(st.sampled_from(ALL_CRITERIA), min_size=1, max_size=4))
     try:
-        out = evaluate_with_errors(records, criteria, bootstrap, jitter_deg, seed)
+        out = evaluate_with_errors(dataset, criteria, bootstrap, jitter_deg, seed)
     except ValueError:
         return
     for result, budget in out:
@@ -1008,6 +1132,5 @@ def test_separable_states_never_certified(m, weights, data):
     overlap = max(abs(float(np.dot(u, v))) for k, u in enumerate(bob) for v in bob[k + 1:])
     assume(overlap > 1e-9)
     counts = np.rint(separable_probs(weights, alice_states, bob_states, alice, bob) * 10_000)
-    records = [CountsRecord(k + 1, counts[k], alice[k], bob[k]) for k in range(m)]
     with pytest.raises(ValueError, match="pairwise orthogonal"):
-        evaluate_with_errors(records, entropic, bootstrap=5, jitter_deg=0.0)
+        evaluate_with_errors(CountsData(counts, alice, bob), entropic, bootstrap=5, jitter_deg=0.0)

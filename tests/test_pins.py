@@ -68,7 +68,8 @@ def test_public_names_resolve():
 
 
 #: Counts files for the analyze pins: per setting, the vector columns
-#: ax,ay,az,bx,by,bz as written and the counts of the outcome pairs
+#: ax,ay,az,bx,by,bz as written (None for a file without them, whose
+#: directions ``--mode`` attaches) and the counts of the outcome pairs
 #: (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 ANALYZE_FILES = {
     "m2": [
@@ -84,6 +85,11 @@ ANALYZE_FILES = {
         ("0.087155742747658166,0,0.99619469809174555,0,0,1", (0, 192, 180, 6)),
         ("0.99619469809174555,0,-0.087155742747658166,1,0,0", (3, 238, 204, 6)),
     ],
+    "bare-m2": [(None, (165, 1873, 1836, 142)), (None, (183, 1796, 1935, 165))],
+    "bare-m3": [
+        (None, (219, 2689, 2769, 243)), (None, (352, 2620, 2601, 378)),
+        (None, (454, 2522, 2525, 418)),
+    ],
 }
 
 #: (file, flags, sha256 of the JSON analyze prints), per budget stream version.
@@ -97,6 +103,13 @@ ANALYZE_PINS = {2: [
     ("zero-cell", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200",
                    "--jitter", "0.1", "--seed", "13"],
      "8163aeac003c57a0fe1ab119115c379c91203cc65f21510abfaf441398745584"),
+    ("bare-m2", ["--criteria", "shannon,tsallis2,renyi,db", "--bootstrap", "200",
+                 "--jitter", "0.1", "--seed", "14", "--mode", "mub", "--alpha", "20",
+                 "--phi", "10"],
+     "c3a4163a5d8fde0040a23d81ef1334666ace82ca6b3246dfd45d192e9ba01438"),
+    ("bare-m3", ["--criteria", "shannon,tsallis2,db", "--bootstrap", "200", "--jitter", "0.1",
+                 "--seed", "15", "--mode", "nom"],
+     "4b8685a3a3de0771d4e28e3baf3684221d01fa20fae809990770505290dd1124"),
 ]}
 
 
@@ -108,10 +121,12 @@ def test_budget_stream_version_is_pinned():
 
 @pytest.mark.parametrize("name, flags, digest", ANALYZE_PINS.get(BUDGET_STREAM_VERSION, []))
 def test_analyze_output_pinned(tmp_path, name, flags, digest):
-    lines = ["setting,a,b,counts,ax,ay,az,bx,by,bz"]
+    bare = ANALYZE_FILES[name][0][0] is None
+    lines = ["setting,a,b,counts" + ("" if bare else ",ax,ay,az,bx,by,bz")]
     for setting, (vectors, counts) in enumerate(ANALYZE_FILES[name], start=1):
         outcomes = ("+1,+1", "+1,-1", "-1,+1", "-1,-1")
-        lines += [f"{setting},{ab},{n},{vectors}" for ab, n in zip(outcomes, counts)]
+        lines += [f"{setting},{ab},{n}" + ("" if bare else f",{vectors}")
+                  for ab, n in zip(outcomes, counts)]
     counts_path = tmp_path / "counts.csv"
     counts_path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out.json"
