@@ -211,6 +211,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    qcore.as_angles(args.alpha, args.phi)  # whether or not --mode reads them
     path = args.input
     if not os.path.exists(path):
         print(f"steerkit: parse error: no such counts file: {path}", file=sys.stderr)

@@ -384,7 +384,7 @@ def closed_form(scenario: Scenario, criterion: Criterion) -> float:
 
     if criterion.kind == "renyi":
         if m != 2:
-            raise ValueError("the Renyi criterion is only defined for two settings")
+            raise ValueError(f"the Renyi criterion needs exactly two settings, got {m}")
         return (
             math.log(2.0)
             - _renyi_term(criterion.r, overlaps[0])

@@ -300,11 +300,7 @@ def fit_visibility(data: CountsData) -> float:
             "attach them to the counts file or the dataset"
         )
     probs = data.counts / data.counts.sum(axis=(1, 2))[:, None, None]
-    return float(_least_squares_visibility(probs, _overlaps(data.alice, data.bob)))
-
-
-def _overlaps(alice, bob) -> list[float]:
-    return [float(np.dot(u, v)) for u, v in zip(alice, bob)]
+    return float(_least_squares_visibility(probs, qcore.dot(data.alice, data.bob)))
 
 
 def _least_squares_visibility(probs, overlaps):
@@ -325,18 +321,17 @@ def _least_squares_visibility(probs, overlaps):
 _FIT_SIGMAS = 5.0
 
 
-def _fit_error(counts, overlaps) -> float:
-    """Standard error of :func:`fit_visibility`'s fit on ``(m, 2, 2)`` counts.
+def _fit_error(probs, totals, overlaps) -> float:
+    """Standard error of :func:`fit_visibility`'s fit on ``(m, 2, 2)`` tables of ``totals`` counts.
 
     var(E_m) = max(1 - E_m^2, 1/N_m) / N_m for N_m counts: the binomial
     variance, kept at least one count's worth so that a perfectly correlated
     setting still carries an error.
     """
-    totals = counts.sum(axis=(1, 2))
-    corr = qcore.correlation(counts / totals[:, None, None])
+    corr = qcore.correlation(probs)
     var = np.maximum(1.0 - corr ** 2, 1.0 / totals) / totals
-    scale = max(abs(overlap) for overlap in overlaps)  # no underflow for tiny overlaps
-    weights = (np.array(overlaps) / scale) ** 2
+    scale = float(np.abs(overlaps).max())  # no underflow for tiny overlaps
+    weights = (overlaps / scale) ** 2
     return math.sqrt(float(weights @ var)) / float(weights.sum()) / scale
 
 
@@ -505,11 +500,12 @@ def evaluate_with_errors(
     dbs = [c for c in criteria if c.kind == "db"]
     needs_fit = bool(dbs) or jitter_deg > 0.0
     raw, alice, bob = data.counts, data.alice, data.bob  # (m, 2, 2) counts
-    observed = raw / raw.sum(axis=(1, 2))[:, None, None]
+    totals = raw.sum(axis=(1, 2))
+    observed = raw / totals[:, None, None]
     fit = fit_visibility(data) if needs_fit else None
-    overlaps = _overlaps(alice, bob) if needs_fit else None
+    overlaps = qcore.dot(alice, bob) if needs_fit else None
     if dbs:
-        _check_db_fit(dbs[0], fit, _fit_error(raw, overlaps), observed[None], alice, bob)
+        _check_db_fit(dbs[0], fit, _fit_error(observed, totals, overlaps), observed[None], alice, bob)
     mu_fit = None if fit is None else min(max(fit, 0.0), 1.0)
     point = _evaluate_criterion(criteria, observed[None], alice, bob, mu_fit)
     check_bob_orthogonal(criteria, bob)  # the recorded directions, after the settings checks

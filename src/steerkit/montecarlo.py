@@ -78,9 +78,9 @@ import numpy as np
 from .criteria import DB_VECTOR_THRESHOLD
 from .qcore import as_float, as_int, as_settings_count, as_visibility
 
-ROM_SCHEMES = ("dihedral", "haar")
-CRM_SCHEMES = ("isotropic",)
-SCHEMES = ROM_SCHEMES + CRM_SCHEMES
+#: Each sampling scheme and its measurement class: 'rom' for orthogonal
+#: measurements, 'crm' for isotropic vectors.
+SCHEMES = {"dihedral": "rom", "haar": "rom", "isotropic": "crm"}
 
 #: Samples per RNG chunk.  Fixed: changing it changes which Philox stream a
 #: given sample draws from, and hence the (deterministic) estimates.
@@ -106,11 +106,9 @@ _CHUNKS_IN_FLIGHT_PER_THREAD = 4
 
 def measurement_class(scheme: str) -> str:
     """'rom' for orthogonal-measurement schemes, 'crm' for isotropic vectors."""
-    if scheme in ROM_SCHEMES:
-        return "rom"
-    if scheme in CRM_SCHEMES:
-        return "crm"
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
+    if not isinstance(scheme, str) or scheme not in SCHEMES:  # a list is unhashable
+        raise ValueError(f"unknown sampling scheme {scheme!r}")
+    return SCHEMES[scheme]
 
 
 def _check_bound_factor(factor: float) -> None:

@@ -137,6 +137,8 @@ class JointTable:
     """2x2 joint outcome probabilities p(a, b) for one measurement setting.
 
     Row index 0/1 is Alice's outcome +1/-1, column index likewise for Bob.
+    ``probs`` is checked on construction and read-only; read it as an array,
+    e.g. ``probs.sum(axis=1)`` for Alice's marginal or ``correlation(probs)``.
     """
 
     probs: np.ndarray
@@ -153,27 +155,6 @@ class JointTable:
         probs = np.clip(probs, 0.0, 1.0)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    def prob(self, a: int, b: int) -> float:
-        """Probability of Alice outcome ``a`` and Bob outcome ``b`` (each +1/-1)."""
-        if a not in OUTCOMES or b not in OUTCOMES:
-            raise ValueError(f"outcomes must be +1 or -1, got ({a}, {b})")
-        return float(self.probs[OUTCOMES.index(a), OUTCOMES.index(b)])
-
-    @property
-    def marginal_a(self) -> np.ndarray:
-        """Alice's marginal (p(+1), p(-1))."""
-        return self.probs.sum(axis=1)
-
-    @property
-    def marginal_b(self) -> np.ndarray:
-        """Bob's marginal (p(+1), p(-1))."""
-        return self.probs.sum(axis=0)
-
-    @property
-    def correlation(self) -> float:
-        """Expectation value <a b> = sum_ab a b p(a, b)."""
-        return float(correlation(self.probs))
 
 
 def correlation(probs) -> np.ndarray:

@@ -441,6 +441,23 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", "--input", str(path), "--criteria", "db"]) == 3
         assert "line 2: vector component bx must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "counts, alice, message",
+        [((0, 0, 0, 0), "0,0,1", "setting 1 has zero total counts"),
+         ((0, 5, 5, 0), "0,0,2", "measurement direction must be unit norm, got |v| = 2.0")],
+    )
+    def test_dataset_rule_in_a_file_is_data_error(self, tmp_path, capsys, counts, alice, message):
+        # every row parses; the dataset the rows make breaks a CountsData rule
+        cells = [(a, b) for a in ("+1", "-1") for b in ("+1", "-1")]
+        rows = [f"1,{a},{b},{n},{alice},0,0,1" for (a, b), n in zip(cells, counts)]
+        rows += [f"2,{a},{b},5,1,0,0,1,0,0" for a, b in cells]
+        path = tmp_path / "rule.csv"
+        path.write_text("\n".join(["setting,a,b,counts,ax,ay,az,bx,by,bz", *rows]) + "\n")
+        assert cli.main(["analyze", "--input", str(path), "--criteria", "shannon"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"steerkit: {path}: {message}\n"
+
     def test_empty_file_is_usage_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -520,12 +537,24 @@ def four_setting_counts(path):
         # warned in numpy, then named a NaN direction
         (["analyze", "--input", "BARE_COUNTS", "--mode", "mub", "--alpha", "inf"],
          "misalignment angles must be finite, got alpha = inf, phi = 0.0"),
+        # these two exited 0: only --mode mub read the angles
+        (["analyze", "--input", "BARE_COUNTS", "--mode", "nom", "--alpha", "nan"],
+         "misalignment angles must be finite, got alpha = nan, phi = 0.0"),
+        (["analyze", "--input", "M3_COUNTS", "--alpha", "nan", "--phi", "inf"],
+         "misalignment angles must be finite, got alpha = nan, phi = inf"),
+        # the angles are checked before the file is opened
+        (["analyze", "--input", "MISSING_COUNTS", "--phi", "nan"],
+         "misalignment angles must be finite, got alpha = 0.0, phi = nan"),
+        # printed "the Renyi criterion is only defined for two settings"
+        (["threshold", "--criterion", "renyi", "--m", "3", "--mu", "0.9733"],
+         "the Renyi criterion needs exactly two settings, got 3"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):
     files = {"M3_COUNTS": str(write_nom_counts(tmp_path / "m3.csv", m=3)),
              "BARE_COUNTS": str(bare_counts(tmp_path / "bare.csv")),
-             "M4_COUNTS": str(four_setting_counts(tmp_path / "m4.csv"))}
+             "M4_COUNTS": str(four_setting_counts(tmp_path / "m4.csv")),
+             "MISSING_COUNTS": str(tmp_path / "missing.csv")}
     assert cli.main([files.get(token, token) for token in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -330,7 +330,7 @@ class TestCountsToTable:
 
     def test_simple_arithmetic(self):
         table = counts_to_table(CountsData([[[10, 40], [40, 10]]]).counts[0])
-        assert np.isclose(table.prob(+1, +1), 0.1, atol=1e-15)
+        assert np.isclose(table.probs[0, 0], 0.1, atol=1e-15)
 
     def test_zero_total_rejected(self):
         for k in range(3):  # named by its number, k + 1
@@ -794,7 +794,7 @@ def reference_replicate_values(draws, criteria, alice, bob, overlaps):
         if overlaps is not None:
             num = den = 0.0
             for table, overlap in zip(tables, overlaps):
-                num += -table.correlation * overlap
+                num += -float(qcore.correlation(table.probs)) * overlap
                 den += overlap ** 2
             mu = num / den
         values.append([reference_value(c, tables, alice, bob, mu) for c in criteria])

@@ -101,10 +101,10 @@ class TestBlochProjector:
 class TestJointTables:
     def test_singlet_anticorrelation(self):
         table = joint_table_trace(werner_state(1.0), Z, Z)
-        assert np.isclose(table.prob(+1, +1), 0.0, atol=1e-12)
-        assert np.isclose(table.prob(+1, -1), 0.5, atol=1e-12)
-        assert np.isclose(table.prob(-1, +1), 0.5, atol=1e-12)
-        assert np.isclose(table.prob(-1, -1), 0.0, atol=1e-12)
+        assert np.isclose(table.probs[0, 0], 0.0, atol=1e-12)
+        assert np.isclose(table.probs[0, 1], 0.5, atol=1e-12)
+        assert np.isclose(table.probs[1, 0], 0.5, atol=1e-12)
+        assert np.isclose(table.probs[1, 1], 0.0, atol=1e-12)
 
     def test_white_noise_uniform(self):
         for u, v in [(Z, X), (X, Y), (Z, Z)]:
@@ -118,8 +118,8 @@ class TestJointTables:
         p_pp = np.trace(np.kron(proj[(1, "z")], proj[(1, "z")]) @ rho).real
         table = joint_table_trace(rho, Z, Z)
         assert np.isclose(p_pp, 0.125, atol=1e-12)
-        assert np.isclose(table.prob(+1, +1), 0.125, atol=1e-12)
-        assert np.isclose(table.prob(+1, -1), 0.375, atol=1e-12)
+        assert np.isclose(table.probs[0, 0], 0.125, atol=1e-12)
+        assert np.isclose(table.probs[0, 1], 0.375, atol=1e-12)
 
     def test_closed_form_examples(self):
         table = joint_table_closed(1.0, Z, Z)
@@ -127,7 +127,7 @@ class TestJointTables:
         table = joint_table_closed(1.0, Z, X)
         assert np.allclose(table.probs, 0.25, atol=1e-15)
         table = joint_table_closed(0.963, Z, Z)
-        assert np.isclose(table.prob(+1, -1), 0.49075, atol=1e-12)
+        assert np.isclose(table.probs[0, 1], 0.49075, atol=1e-12)
 
     def test_trace_equals_closed_on_grid(self):
         pairs = random_unit_vectors(100, seed=2), random_unit_vectors(100, seed=3)
@@ -142,8 +142,8 @@ class TestJointTables:
         for mu in (0.0, 0.3, 0.7, 1.0):
             for u, v in zip(random_unit_vectors(10, seed=4), random_unit_vectors(10, seed=5)):
                 table = joint_table_closed(mu, u, v)
-                assert np.allclose(table.marginal_a, 0.5, atol=1e-12)
-                assert np.allclose(table.marginal_b, 0.5, atol=1e-12)
+                assert np.allclose(table.probs.sum(axis=1), 0.5, atol=1e-12)
+                assert np.allclose(table.probs.sum(axis=0), 0.5, atol=1e-12)
 
     def test_invalid_tables_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestJointTables:
 
     def test_correlation_property(self):
         table = joint_table_closed(0.8, Z, Z)
-        assert np.isclose(table.correlation, -0.8, atol=1e-12)
+        assert np.isclose(qcore.correlation(table.probs), -0.8, atol=1e-12)
 
 
 class TestMeasurementSettings:
