@@ -214,11 +214,9 @@ def _cmd_analyze(args) -> int:
     qcore.as_angles(args.alpha, args.phi)  # whether or not --mode reads them
     path = args.input
     if not os.path.exists(path):
-        print(f"steerkit: parse error: no such counts file: {path}", file=sys.stderr)
-        return 2
+        raise ValueError(f"parse error: no such counts file: {path}")
     if os.path.getsize(path) == 0:
-        print(f"steerkit: parse error: empty counts file: {path}", file=sys.stderr)
-        return 2
+        raise ValueError(f"parse error: empty counts file: {path}")
     data = expio.load_counts(path)  # CountsFormatError -> exit 3 in main()
     if args.attach_mode is not None and data.alice is None:
         m = len(data.counts)

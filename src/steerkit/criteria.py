@@ -33,12 +33,9 @@ DB_VECTOR_THRESHOLD = {2: 0.5, 3: math.sqrt(3.0) / 9.0}
 
 def db_bound(m: int, d_a: int = 2) -> float:
     """Separable bound on |det D|: (1/sqrt(d_A)) ((sqrt(2 d_A) - 1)/(m sqrt(d_A)))^m."""
-    if qcore.as_int("settings count", m) < 2:
-        raise ValueError(f"need at least two settings, got m = {m}")
-    if qcore.as_int("untrusted-side dimension", d_a) < 2:
-        raise ValueError(f"untrusted-side dimension must be >= 2, got {d_a}")
-    if max(m, d_a) >= 2 ** 53:  # before the float arithmetic, which overflows
-        raise ValueError(f"m and d_a must lie below 2**53, got m = {m}, d_a = {d_a}")
+    # below 2**53, before the float arithmetic, which overflows
+    m = qcore.as_int("settings count", m, 2, 2 ** 53 - 1)
+    d_a = qcore.as_int("untrusted-side dimension", d_a, 2, 2 ** 53 - 1)
     return (1.0 / math.sqrt(d_a)) * ((math.sqrt(2.0 * d_a) - 1.0) / (m * math.sqrt(d_a))) ** m
 
 

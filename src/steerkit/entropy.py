@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .qcore import JointTable, as_array, as_float
+from .qcore import JointTable, as_array, as_float, as_settings_count
 
 DIST_ATOL = 1e-10
 
@@ -186,9 +186,7 @@ def eur_bound_tsallis(q: float, m: int) -> float:
     counts have no built-in bound and raise ``ValueError``.
     """
     q = check_tsallis_order(q)
-    if m not in (2, 3):
-        raise ValueError(f"no built-in bound for {m} settings; built-in bounds cover 2 or 3 settings")
-    return (m - 1) * q_log(2.0, q)
+    return (as_settings_count(m) - 1) * q_log(2.0, q)
 
 
 def eur_bound_renyi2() -> float:

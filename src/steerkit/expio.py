@@ -266,7 +266,7 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> CountsDat
     with an integer seed each cell is an independent Poisson draw with the
     expected count as its mean.
     """
-    rng = None if seed is None else np.random.default_rng(qcore.as_int("seed", seed))
+    rng = None if seed is None else np.random.default_rng(qcore.as_int("seed", seed, 0, math.inf))
     alice, bob, total = list(alice), list(bob), qcore.as_float(total_per_setting)
     if len(alice) != len(bob):
         raise ValueError(f"alice and bob must list as many settings: {len(alice)} vs {len(bob)}")
@@ -487,12 +487,8 @@ def evaluate_with_errors(
     directions is taken to have them (see
     :func:`~steerkit.criteria.check_bob_orthogonal`).
     """
-    bootstrap = qcore.as_int("bootstrap replicate count", bootstrap)
-    seed = qcore.as_int("seed", seed)
-    if not 0 <= bootstrap <= MAX_BOOTSTRAP:
-        raise ValueError(
-            f"bootstrap replicate count must lie in [0, {MAX_BOOTSTRAP}], got {bootstrap}"
-        )
+    bootstrap = qcore.as_int("bootstrap replicate count", bootstrap, 0, MAX_BOOTSTRAP)
+    seed = qcore.as_int("seed", seed, 0, math.inf)
     jitter_deg = qcore.as_float(jitter_deg)
     if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")

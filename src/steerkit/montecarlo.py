@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_float, as_int, as_settings_count, as_visibility
+from .qcore import as_array, as_float, as_int, as_settings_count, as_visibility
 
 #: Each sampling scheme and its measurement class: 'rom' for orthogonal
 #: measurements, 'crm' for isotropic vectors.
@@ -128,7 +128,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        as_settings_count(self.m)
+        object.__setattr__(self, "m", as_settings_count(self.m))
         measurement_class(self.scheme)  # validates the scheme name
         if self.scheme == "dihedral" and self.m != 2:
             raise ValueError("the dihedral scheme is a two-setting construction; use haar for m = 3")
@@ -136,17 +136,9 @@ class MCConfig:
         if not mu_grid:
             raise ValueError("mu grid must be non-empty")
         object.__setattr__(self, "mu_grid", mu_grid)
-        n_samples = as_int("sample count", self.n_samples)
-        if n_samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {n_samples}")
-        if n_samples > MAX_SAMPLES:
-            raise ValueError(f"sample count must be <= {MAX_SAMPLES}, got {n_samples}")
+        object.__setattr__(self, "n_samples", as_int("sample count", self.n_samples, 1, MAX_SAMPLES))
         _check_bound_factor(self.bound_factor)
-        seed = as_int("seed", self.seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", as_int("seed", self.seed, 0, 2 ** 64 - 1))
 
 
 @dataclass(frozen=True)
@@ -193,8 +185,7 @@ def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) ->
     The chunk draws one ``(k, n)`` array of uniforms, row ``j`` holding the
     ``j``-th scalar of every sample, with ``k`` as in the module docstring.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown sampling scheme {scheme!r}")
+    measurement_class(scheme)
     if scheme == "haar" and m == 3:
         return np.ones(n)  # orthonormal triads: |det A| = |det B| = 1
     rng = chunk_rng(seed, chunk_index)
@@ -257,9 +248,7 @@ def _map_chunks(task, plan, n_workers: int):
     :data:`_CHUNKS_IN_FLIGHT_PER_THREAD` futures per thread; when it is full
     the oldest result is added before the next chunk is submitted.
     """
-    if n_workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {n_workers}")
-    n_threads = min(n_workers, len(plan), os.cpu_count() or 1)
+    n_threads = min(as_int("worker count", n_workers, 1, math.inf), len(plan), os.cpu_count() or 1)
     if n_threads <= 1:
         return sum(task(c, size) for c, size in plan)
     total = 0
@@ -359,8 +348,7 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
     """
     if len(cfg.mu_grid) != 1:
         raise ValueError("violation_histogram needs a single-mu configuration")
-    if not 1 <= bins <= MAX_HIST_BINS:
-        raise ValueError(f"histogram bin count must lie in [1, {MAX_HIST_BINS}], got {bins}")
+    bins = as_int("histogram bin count", bins, 1, MAX_HIST_BINS)
     mu = cfg.mu_grid[0]
     max_violation = mu ** cfg.m - cfg.bound_factor * DB_VECTOR_THRESHOLD[cfg.m]
     if max_violation <= 0.0:
@@ -384,6 +372,12 @@ def violation_histogram(
     edges = histogram_edges(cfg, bins)
     if bin_counts is None:
         bin_counts = _estimate_cells(cfg, (cfg.bound_factor,), n_workers, edges)[1]
+    bin_counts = as_array("bin_counts", bin_counts)
+    # negated: a NaN count fails; below 2**53 the counts and their sum are exact
+    if bin_counts.shape != edges[1:].shape or not np.all(
+        (bin_counts >= 0.0) & (bin_counts < 2.0 ** 53) & (bin_counts == np.floor(bin_counts))
+    ):
+        raise ValueError(f"bin_counts must be {len(edges) - 1} whole counts in [0, 2**53)")
     n_violations = int(bin_counts.sum())
     if n_violations == 0:
         raise ValueError("no violating samples; cannot normalise a density")
@@ -420,6 +414,8 @@ def raised_bound_table(
     :class:`MCConfig` checks before anything is drawn.
     """
     factors = [as_float(factor) for factor in factors]
+    if not factors:
+        raise ValueError("bound factor list must be non-empty")
     for factor in factors:
         _check_bound_factor(factor)
     configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]

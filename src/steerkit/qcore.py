@@ -14,7 +14,7 @@ With these choices the singlet correlation law is
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +56,18 @@ def as_unit_vector(v) -> np.ndarray:
     return vec
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int; ValueError for a bool or a non-integer type (numpy ints pass)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def as_int(name: str, value, lo, hi) -> int:
+    """``value`` as an int in [lo, hi], hi may be inf; ValueError for a bool, a non-int or outside."""
+    if type(value) is not int:  # numpy ints pass; an int skips the type test on hot paths
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
 def as_float(value) -> float:
@@ -80,10 +87,8 @@ def as_visibility(mu) -> float:
 
 
 def as_settings_count(m) -> int:
-    """``m`` unchanged; ValueError unless it is 2 or 3."""
-    if m not in (2, 3):
-        raise ValueError(f"settings count must be 2 or 3, got {m}")
-    return m
+    """``m`` as an int; ValueError unless it is 2 or 3."""
+    return as_int("settings count", m, 2, 3)
 
 
 def as_angles(alpha_deg, phi_deg) -> tuple[float, float]:

@@ -268,7 +268,7 @@ class TestMcCommand:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"steerkit: sample count must be <= {MAX_SAMPLES}, got {samples}\n"
+        assert captured.err == f"steerkit: sample count must lie in [1, {MAX_SAMPLES}], got {samples}\n"
 
     def test_oversized_histogram_follows_the_main_output(self, tmp_path, capsys):
         # 1e12 bins ended in a MemoryError traceback
@@ -279,6 +279,20 @@ class TestMcCommand:
         plain = out.read_bytes()
         assert cli.main(base + ["--hist", "1000000000000"]) == 2
         assert "histogram bin count must lie in" in capsys.readouterr().err
+        assert out.read_bytes() == plain
+        assert not (tmp_path / "x.csv.hist.csv").exists()
+
+    def test_histogram_without_violations_follows_the_main_output(self, tmp_path, capsys):
+        # one haar sample at mu = 0.72 does not violate: the estimates are written,
+        # then the histogram has no density to normalise
+        out = tmp_path / "x.csv"
+        argv = ["mc", "--m", "2", "--class", "rom", "--scheme", "haar", "--mu-grid", "0.72",
+                "--samples", "1", "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        plain = out.read_bytes()
+        out.unlink()
+        assert cli.main(argv + ["--hist", "5"]) == 2
+        assert capsys.readouterr().err == "steerkit: no violating samples; cannot normalise a density\n"
         assert out.read_bytes() == plain
         assert not (tmp_path / "x.csv.hist.csv").exists()
 
@@ -519,9 +533,9 @@ def four_setting_counts(path):
          "systematic jitter and the determinant criterion need measurement vectors"),
         # named a library-only override that the CLI has no flag for
         (["analyze", "--input", "M4_COUNTS", "--criteria", "shannon", "--bootstrap", "10"],
-         "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
+         "settings count must lie in [2, 3], got 4"),
         (["analyze", "--input", "M4_COUNTS", "--criteria", "tsallis2", "--bootstrap", "10"],
-         "no built-in bound for 4 settings; built-in bounds cover 2 or 3 settings"),
+         "settings count must lie in [2, 3], got 4"),
         # these three printed an angle or null and exited 0
         (["threshold", "--criterion", "renyi", "--rs", "2,2", "--mu", "0.9733"],
          "Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = 1.0"),
@@ -531,9 +545,9 @@ def four_setting_counts(path):
          "Renyi orders must be >= 1/2, got (nan, 1.0)"),
         # raised OverflowError: int too large to convert to float, with exit code 1
         (["bound", "--criterion", "db", "--m", "1" + "0" * 400],
-         "m and d_a must lie below 2**53, got m = 1000"),
+         "settings count must lie in [2, 9007199254740991], got 1000"),
         (["bound", "--criterion", "db", "--da", "1" + "0" * 400],
-         "m and d_a must lie below 2**53, got m = 2, d_a = 1000"),
+         "untrusted-side dimension must lie in [2, 9007199254740991], got 1000"),
         # warned in numpy, then named a NaN direction
         (["analyze", "--input", "BARE_COUNTS", "--mode", "mub", "--alpha", "inf"],
          "misalignment angles must be finite, got alpha = inf, phi = 0.0"),
@@ -548,16 +562,35 @@ def four_setting_counts(path):
         # printed "the Renyi criterion is only defined for two settings"
         (["threshold", "--criterion", "renyi", "--m", "3", "--mu", "0.9733"],
          "the Renyi criterion needs exactly two settings, got 3"),
+        (["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0:90"],
+         "grid must be START:STOP:STEP or a single value, got '0:90'"),
+        (["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid", "0:90:0"],
+         "grid needs stop >= start and step > 0, got '0:90:0'"),
+        (["sweep", "--m", "2", "--mu", "0.9", "--config"], "--config needs a file path"),
+        (["--config", "SWEEP_CONFIG"], "--config requires a subcommand"),
+        (["sweep", "--config", "MISSING_CONFIG"], "cannot read config file: "),
+        (["sweep", "--config", "NO_EQUALS_CONFIG"],
+         "NO_EQUALS_CONFIG:2: expected key = value, got 'm 2'"),
+        (["sweep", "--config", "EMPTY_KEY_CONFIG"], "EMPTY_KEY_CONFIG:2: empty key"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):
     files = {"M3_COUNTS": str(write_nom_counts(tmp_path / "m3.csv", m=3)),
              "BARE_COUNTS": str(bare_counts(tmp_path / "bare.csv")),
              "M4_COUNTS": str(four_setting_counts(tmp_path / "m4.csv")),
-             "MISSING_COUNTS": str(tmp_path / "missing.csv")}
+             "MISSING_COUNTS": str(tmp_path / "missing.csv"),
+             "MISSING_CONFIG": str(tmp_path / "missing.cfg")}
+    configs = {"SWEEP_CONFIG": "m = 2\nmu = 0.9\n", "NO_EQUALS_CONFIG": "mu = 0.9\nm 2\n",
+               "EMPTY_KEY_CONFIG": "mu = 0.9\n= 1\n"}
+    for name, text in configs.items():
+        files[name] = str(tmp_path / f"{name.lower()}.cfg")
+        with open(files[name], "w") as stream:
+            stream.write(text)
     assert cli.main([files.get(token, token) for token in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    for token, path in files.items():
+        message = message.replace(token, path)
     assert captured.err.startswith(f"steerkit: {message}")
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
 
@@ -675,6 +708,12 @@ class TestCliInfrastructure:
         result = run_cli("sweep", "--m", "2", "--config", str(config))
         assert result.returncode == 0
         assert len(result.stdout.strip().split("\n")) == 4
+
+    def test_config_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a sweep\nmu = 0.9\n\n   \n  # indented\ncriteria = db  # trailing\n")
+        assert cli.main(["sweep", "--m", "2", "--alpha-grid", "0", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0.9,")
 
     def test_cli_flags_override_config(self, tmp_path):
         config = tmp_path / "run.cfg"

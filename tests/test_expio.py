@@ -750,7 +750,7 @@ class TestBobOrthogonality:
     def test_checked_after_the_settings_count(self):
         data = product_data()
         four = CountsData(*(np.concatenate([a, a]) for a in (data.counts, data.alice, data.bob)))
-        with pytest.raises(ValueError, match="no built-in bound for 4 settings"):
+        with pytest.raises(ValueError, match=r"settings count must lie in \[2, 3\], got 4"):
             evaluate_with_errors(four, [SHANNON], bootstrap=0, jitter_deg=0.0)
 
     def test_records_without_directions_keep_the_orthogonal_bound(self):

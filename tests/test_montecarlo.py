@@ -1,7 +1,9 @@
 import io
 import math
+import sys
 import tracemalloc
 from concurrent.futures import Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,6 +297,17 @@ class TestSamplerReference:
 class TestThresholdCounting:
     """Per-chunk counts against a brute-force comparison of every sample with every threshold."""
 
+    @pytest.mark.parametrize(
+        "m, mu, factor", [(2, 1e-5, 1e-310), (3, 1e-3, 3e-312), (2, 1e-100, 1e-315)]
+    )
+    def test_threshold_where_the_bound_underflows(self, m, mu, factor):
+        # factor * T_m is subnormal: dividing it by mu^m as it stands is off by
+        # 298, 25,897 and 43.8 million ulp at these cells
+        assert 0.0 < factor * DB_VECTOR_THRESHOLD[m] < sys.float_info.min
+        exact = Fraction(factor) * Fraction(DB_VECTOR_THRESHOLD[m]) / Fraction(mu) ** m
+        error = abs(Fraction(montecarlo._threshold(m, mu, factor)) - exact)
+        assert error <= Fraction(math.ulp(float(exact)))
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.sampled_from([2, 3]),
@@ -584,6 +597,23 @@ class TestViolationHistogram:
         with pytest.raises(ValueError, match="bin count"):
             montecarlo.histogram_edges(cfg, cap + 1)
 
+    @pytest.mark.parametrize(
+        "bin_counts",
+        [[1, 2, 3], [1, 2, 3, 4, 5, 6], [[1, 2, 3, 4, 5]], [1, 2, 3, 4, -1], [1, 2, 3, 4, 0.5],
+         [1, 2, 3, 4, math.nan], [1, 2, 3, 4, math.inf], [1, 2, 3, 4, 2.0 ** 53]],
+    )
+    def test_rejects_bin_counts_that_do_not_fit_the_bins(self, bin_counts):
+        # 3 counts for 5 bins gave a 3-entry density that the CSV writer cut
+        # short silently; a negative count gave a negative density
+        cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
+        with pytest.raises(ValueError, match=r"^bin_counts must be 5 whole counts in \[0, 2\*\*53\)$"):
+            violation_histogram(cfg, bins=5, bin_counts=np.array(bin_counts))
+
+    def test_takes_whole_float_bin_counts(self):
+        cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
+        hist = violation_histogram(cfg, bins=2, bin_counts=[1.0, 3])
+        assert hist.n_violations == 4 and list(hist.density) == [1.0, 3.0]
+
 
 class TestRaisedBoundTable:
     def test_layout_and_reference_rows(self):
@@ -622,6 +652,12 @@ class TestRaisedBoundTable:
         # a NaN factor reported p = 0 on every row; zero samples raised TypeError
         with pytest.raises(ValueError):
             raised_bound_table(**{"n_samples": 1000, **kwargs})
+
+    def test_rejects_an_empty_factor_list_before_drawing(self, monkeypatch):
+        # drew every row's samples and returned [[], [], [], []]
+        monkeypatch.setattr(montecarlo, "_estimate_cells", None)
+        with pytest.raises(ValueError, match="^bound factor list must be non-empty$"):
+            raised_bound_table(factors=())
 
 
 def assert_probabilities(estimates):

@@ -1,7 +1,22 @@
+import math
+import threading
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from steerkit import qcore
+from steerkit.criteria import Criterion, Scenario, db_bound
+from steerkit.entropy import eur_bound_tsallis
+from steerkit.expio import MAX_BOOTSTRAP, evaluate_with_errors, synthesize_counts
+from steerkit.montecarlo import (
+    MAX_HIST_BINS,
+    MAX_SAMPLES,
+    MCConfig,
+    histogram_edges,
+    raised_bound_table,
+    violation_probability,
+)
 from steerkit.qcore import (
     JointTable,
     bloch_projector,
@@ -218,3 +233,90 @@ class TestMeasurementSettings:
         alice, bob = nom_settings(3)
         overlaps = [np.dot(u, v) for u, v in zip(alice, bob)]
         assert np.allclose(overlaps, [1.0, np.sqrt(3.0) / 2.0, np.sqrt(2.0 / 3.0)], atol=1e-12)
+
+
+def _counts_data():
+    return synthesize_counts(0.9, *mub_settings(2), 1000)
+
+
+def _mc_config(**kwargs):
+    return MCConfig(**{"m": 2, "scheme": "haar", "mu_grid": (0.9,), "n_samples": 10, **kwargs})
+
+
+#: Each public count parameter: its name in messages, its range, and a call
+#: that passes a value to it and nothing else out of the ordinary.
+COUNT_PARAMETERS = {
+    "Scenario m": ("settings count", 2, 3, lambda v: Scenario(0.9, m=v)),
+    "MCConfig m": ("settings count", 2, 3, lambda v: _mc_config(m=v)),
+    "mub_settings m": ("settings count", 2, 3, lambda v: mub_settings(v)),
+    "eur_bound_tsallis m": ("settings count", 2, 3, lambda v: eur_bound_tsallis(2.0, v)),
+    "db_bound m": ("settings count", 2, 2 ** 53 - 1, lambda v: db_bound(v)),
+    "db_bound d_a": ("untrusted-side dimension", 2, 2 ** 53 - 1, lambda v: db_bound(2, v)),
+    "n_samples": ("sample count", 1, MAX_SAMPLES, lambda v: _mc_config(n_samples=v)),
+    "MCConfig seed": ("seed", 0, 2 ** 64 - 1, lambda v: _mc_config(seed=v)),
+    "evaluate_with_errors seed": (
+        "seed", 0, math.inf,
+        lambda v: evaluate_with_errors(_counts_data(), [Criterion("shannon")], 2, 0.0, seed=v)),
+    "synthesize_counts seed": (
+        "seed", 0, math.inf, lambda v: synthesize_counts(0.9, *mub_settings(2), 1000, seed=v)),
+    "violation_probability n_workers": (
+        "worker count", 1, math.inf, lambda v: violation_probability(_mc_config(), n_workers=v)),
+    "raised_bound_table n_workers": (
+        "worker count", 1, math.inf, lambda v: raised_bound_table(n_samples=10, n_workers=v)),
+    "bins": ("histogram bin count", 1, MAX_HIST_BINS,
+             lambda v: histogram_edges(_mc_config(mu_grid=(1.0,)), v)),
+    "bootstrap": (
+        "bootstrap replicate count", 0, MAX_BOOTSTRAP,
+        lambda v: evaluate_with_errors(_counts_data(), [Criterion("shannon")], v, 0.0)),
+}
+
+
+def _call_with_timeout(call, value, timeout=60.0):
+    """``call(value)`` in a daemon thread: a call that hangs fails the test instead of the suite."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(("returned", call(value)))
+        except Exception as exc:  # handed back to the test
+            outcome.append(("raised", exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert outcome, f"the call with {value!r} did not return within {timeout} s"
+    return outcome[0]
+
+
+class TestIntegerRule:
+    def test_as_int(self):
+        assert qcore.as_int("n", np.int16(3), 1, math.inf) == 3
+        assert type(qcore.as_int("n", np.uint64(2 ** 64 - 1), 0, 2 ** 64 - 1)) is int
+        with pytest.raises(ValueError, match=r"^n must lie in \[1, inf\], got 0$"):
+            qcore.as_int("n", 0, 1, math.inf)
+        for value in (np.True_, Fraction(2), 2 + 0j, "2", None):
+            with pytest.raises(ValueError, match="^n must be an integer, got "):
+                qcore.as_int("n", value, 0, 3)
+
+    @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, math.nan])
+    def test_non_integers_raise_the_rule_message(self, parameter, value):
+        # NaN workers hung violation_probability; m = 2.0 and bins = 2.5 raised TypeError
+        name, _, _, call = COUNT_PARAMETERS[parameter]
+        kind, result = _call_with_timeout(call, value)
+        assert kind == "raised" and type(result) is ValueError
+        assert str(result) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
+    def test_values_outside_the_range_raise_the_rule_message(self, parameter):
+        name, lo, hi, call = COUNT_PARAMETERS[parameter]
+        for value in (lo - 1, hi + 1) if hi != math.inf else (lo - 1,):
+            kind, result = _call_with_timeout(call, value)
+            assert kind == "raised" and type(result) is ValueError
+            assert str(result) == f"{name} must lie in [{lo}, {hi}], got {value}"
+
+    @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
+    def test_numpy_integers_are_accepted(self, parameter):
+        _, _, _, call = COUNT_PARAMETERS[parameter]
+        kind, result = _call_with_timeout(call, np.int64(2))
+        assert kind == "returned", result
