@@ -219,12 +219,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"parse error: empty counts file: {path}")
     data = expio.load_counts(path)  # CountsFormatError -> exit 3 in main()
     if args.attach_mode is not None and data.alice is None:
-        m = len(data.counts)
-        if args.attach_mode == "mub":
-            alice, bob = qcore.mub_settings(m, args.alpha, args.phi)
-        else:
-            alice, bob = qcore.nom_settings(m)
-        data = expio.CountsData(data.counts, alice, bob)
+        scenario = criteria.Scenario(0.0, args.alpha, args.phi, len(data.counts), args.attach_mode)
+        data = expio.CountsData(data.counts, *scenario.settings())
     crit_list = _parse_criteria(args.criteria)
     evaluated = expio.evaluate_with_errors(
         data,
@@ -341,7 +337,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if idx + 1 >= len(argv) or argv[idx + 1].startswith("--"):
         raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]

@@ -49,17 +49,6 @@ DB_SCALE = {m: db_bound(m, 2) / DB_VECTOR_THRESHOLD[m] for m in (2, 3)}
 _ORDER_NAMES = {"shannon": ("q",), "tsallis": ("q",), "renyi": ("r", "s"), "db": ()}
 
 
-def _check_renyi_orders(r: float, s: float) -> tuple[float, float]:
-    """``(r, s)`` as floats; ValueError unless both are >= 1/2 (inf allowed) and 1/r + 1/s = 2."""
-    r, s = qcore.as_float(r), qcore.as_float(s)
-    if not (r >= 0.5 and s >= 0.5):  # NaN fails too
-        raise ValueError(f"Renyi orders must be >= 1/2, got ({r}, {s})")
-    inv = 1.0 / r + 1.0 / s
-    if abs(inv - 2.0) > 1e-9:
-        raise ValueError(f"Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = {inv}")
-    return r, s
-
-
 @dataclass(frozen=True)
 class Criterion:
     """A steering criterion and its orders, checked here for every caller.
@@ -82,14 +71,17 @@ class Criterion:
             if getattr(self, name) is not None and name not in _ORDER_NAMES[kind]:
                 raise ValueError(f"the {kind} criterion takes no order {name}")
         if kind == "renyi":
-            r = 0.5 if self.r is None else self.r
-            r, s = _check_renyi_orders(r, math.inf if self.s is None else self.s)
+            r = ent.check_renyi_order(0.5 if self.r is None else self.r)
+            s = ent.check_renyi_order(math.inf if self.s is None else self.s)
+            inv = 1.0 / r + 1.0 / s
+            if abs(inv - 2.0) > 1e-9:
+                raise ValueError(f"Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = {inv}")
             object.__setattr__(self, "r", r)
             object.__setattr__(self, "s", s)
         elif kind != "db":
-            if kind == "shannon" and q not in (None, 1.0):
+            q = ent.check_tsallis_order(1.0 if kind == "shannon" and q is None else q)
+            if kind == "shannon" and q != 1.0:
                 raise ValueError(f"the shannon criterion is Tsallis order q = 1, got q = {q}")
-            q = ent.check_tsallis_order(1.0 if kind == "shannon" else q)
             object.__setattr__(self, "kind", "shannon" if q == 1.0 else "tsallis")
             object.__setattr__(self, "q", q)
 
@@ -118,10 +110,7 @@ class Criterion:
 
 def parse_order(text: str) -> float:
     """An entropy order: a number, or inf / infinity / oo."""
-    text = text.strip()
-    if text in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
+    return math.inf if text.strip() == "oo" else float(text)  # float reads inf and infinity
 
 
 @dataclass(frozen=True)
@@ -408,7 +397,7 @@ def critical_mu(alpha_deg: float, phi_deg: float) -> float:
     undetectable at any physical visibility.  Requires finite angles and
     cos(alpha) > 0.
     """
-    qcore.as_angles(alpha_deg, phi_deg)
+    alpha_deg, phi_deg = qcore.as_angles(alpha_deg, phi_deg)
     cos_a = math.cos(math.radians(alpha_deg))
     if cos_a <= 1e-12:
         raise ValueError(f"critical visibility needs cos(alpha) > 0, got alpha = {alpha_deg} deg")
@@ -465,12 +454,15 @@ def sweep(mu: float, alpha_grid, phi_deg: float, m: int, criteria, mode: str = "
     """Evaluate criteria over a grid of in-plane angles, all in one batch.
 
     Returns one :class:`SweepRow` per (alpha, criterion) pair, alpha-major,
-    in deterministic order; an empty grid gives no rows and checks nothing.
+    in deterministic order; an empty grid gives no rows and checks nothing else.
     """
-    alphas = [qcore.as_float(alpha_deg) for alpha_deg in alpha_grid]
+    alphas = [qcore.as_real("misalignment angle alpha", alpha_deg, -math.inf, math.inf)
+              for alpha_deg in qcore.as_list("alpha grid", alpha_grid)]
     settings = [Scenario(mu, alpha_deg, phi_deg, m, mode).settings() for alpha_deg in alphas]
     if not settings:
         return []
+    mu = qcore.as_visibility(mu)
+    phi_deg = qcore.as_real("misalignment angle phi", phi_deg, -math.inf, math.inf)
     alice, bob = (np.array(vecs) for vecs in zip(*settings))  # (n_alpha, m, 3) each
     results = criterion_results(criteria, qcore.werner_probs(mu, alice, bob), alice, bob, mu)
     return [SweepRow(mu, alpha_deg, phi_deg, m, res.criterion, res.order, res.value, res.steerable)

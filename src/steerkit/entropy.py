@@ -9,12 +9,11 @@ The conventions ``0^q = 0`` and ``0 * log(0) = 0`` hold throughout.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 
 import numpy as np
 
-from .qcore import JointTable, as_array, as_float, as_settings_count
+from .qcore import JointTable, as_array, as_real, as_settings_count
 
 DIST_ATOL = 1e-10
 
@@ -32,28 +31,22 @@ def _as_distribution(p) -> np.ndarray:
 
 
 def check_tsallis_order(q) -> float:
-    """``q`` as a float; ValueError unless it is a finite number >= 1 (None and NaN fail)."""
-    order = as_float(q) if isinstance(q, numbers.Real) else math.nan
-    if not (math.isfinite(order) and order >= 1.0):
-        raise ValueError(f"Tsallis order must satisfy q >= 1 (q = 1 is the Shannon limit), got {q}")
-    return order
+    """``q`` as a float; ValueError unless it is finite and >= 1 (q = 1 is the Shannon limit)."""
+    return as_real("Tsallis order", q, 1.0, math.inf)
 
 
-def _check_renyi_order(r: float) -> float:
-    r = as_float(r)
-    if r != math.inf and (not math.isfinite(r) or r < 0.5):
-        raise ValueError(f"Renyi order must satisfy r >= 1/2 (inf allowed), got {r}")
-    return r
+def check_renyi_order(r) -> float:
+    """``r`` as a float; ValueError unless r >= 1/2.  inf, the min-entropy order, passes too."""
+    if (isinstance(r, (float, np.floating)) and r == math.inf
+            or type(r) is int and r > sys.float_info.max):  # an int past float range reads as inf
+        return math.inf
+    return as_real("Renyi order", r, 0.5, math.inf)
 
 
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1 - q); ln_1 = ln."""
-    x = as_float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"q-logarithm requires a finite x > 0, got {x}")
-    q = as_float(q)
-    if not math.isfinite(q):
-        raise ValueError(f"q-logarithm order must be finite, got {q}")
+    x = as_real("q-logarithm argument", x, math.ulp(0.0), math.inf)
+    q = as_real("q-logarithm order", q, -math.inf, math.inf)
     if q == 1.0:
         return math.log(x)
     return (x ** (1.0 - q) - 1.0) / (1.0 - q)
@@ -77,7 +70,7 @@ def tsallis_entropy(p, q: float) -> float:
 
 def renyi_entropy(p, r: float) -> float:
     """Renyi entropy ln(sum p^r)/(1 - r); Shannon at r = 1, -ln(max p) at r = inf."""
-    r = _check_renyi_order(r)
+    r = check_renyi_order(r)
     probs = _as_distribution(p)
     if r == 1.0:
         return shannon_entropy(probs)
@@ -176,7 +169,7 @@ def arimoto_conditional_renyi(table: JointTable, r: float) -> float:
     x the state-measurement overlap, which is what the closed-form steering
     expressions require.
     """
-    return float(conditional_arimoto(table.probs, _check_renyi_order(r)))
+    return float(conditional_arimoto(table.probs, check_renyi_order(r)))
 
 
 def eur_bound_tsallis(q: float, m: int) -> float:

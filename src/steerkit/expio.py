@@ -267,14 +267,11 @@ def synthesize_counts(mu, alice, bob, total_per_setting, seed=None) -> CountsDat
     expected count as its mean.
     """
     rng = None if seed is None else np.random.default_rng(qcore.as_int("seed", seed, 0, math.inf))
-    alice, bob, total = list(alice), list(bob), qcore.as_float(total_per_setting)
+    # below 2**53 every count is exact, and the int64 cast cannot overflow
+    total = qcore.as_real("total_per_setting", total_per_setting, math.ulp(0.0), 2.0 ** 53 - 1)
+    alice, bob = list(alice), list(bob)
     if len(alice) != len(bob):
         raise ValueError(f"alice and bob must list as many settings: {len(alice)} vs {len(bob)}")
-    if not 0.0 < total < 2.0 ** 53:  # before the int64 cast; NaN fails too
-        raise ValueError(
-            f"total_per_setting must be finite and > 0 and below 2**53, the largest exact count, "
-            f"got {total_per_setting}"
-        )
     expected = [qcore.joint_table_closed(mu, u, v).probs * total for u, v in zip(alice, bob)]
     expected = np.reshape(expected, (len(alice), 2, 2))
     counts = np.rint(expected).astype(np.int64) if rng is None else rng.poisson(expected)
@@ -489,9 +486,7 @@ def evaluate_with_errors(
     """
     bootstrap = qcore.as_int("bootstrap replicate count", bootstrap, 0, MAX_BOOTSTRAP)
     seed = qcore.as_int("seed", seed, 0, math.inf)
-    jitter_deg = qcore.as_float(jitter_deg)
-    if not (math.isfinite(jitter_deg) and jitter_deg >= 0.0):
-        raise ValueError(f"jitter must be finite and >= 0 degrees, got {jitter_deg}")
+    jitter_deg = qcore.as_real("jitter in degrees", jitter_deg, 0.0, math.inf)
     criteria = list(criteria)
     dbs = [c for c in criteria if c.kind == "db"]
     needs_fit = bool(dbs) or jitter_deg > 0.0

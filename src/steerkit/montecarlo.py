@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_array, as_float, as_int, as_settings_count, as_visibility
+from .qcore import as_array, as_int, as_list, as_real, as_settings_count, as_visibility
 
 #: Each sampling scheme and its measurement class: 'rom' for orthogonal
 #: measurements, 'crm' for isotropic vectors.
@@ -111,11 +111,6 @@ def measurement_class(scheme: str) -> str:
     return SCHEMES[scheme]
 
 
-def _check_bound_factor(factor: float) -> None:
-    if not (math.isfinite(as_float(factor)) and factor > 0.0):
-        raise ValueError(f"bound factor must be positive and finite, got {factor}")
-
-
 @dataclass(frozen=True)
 class MCConfig:
     """Configuration of one violation-probability run."""
@@ -132,12 +127,13 @@ class MCConfig:
         measurement_class(self.scheme)  # validates the scheme name
         if self.scheme == "dihedral" and self.m != 2:
             raise ValueError("the dihedral scheme is a two-setting construction; use haar for m = 3")
-        mu_grid = tuple(as_visibility(mu) for mu in self.mu_grid)
+        mu_grid = tuple(as_visibility(mu) for mu in as_list("mu grid", self.mu_grid))
         if not mu_grid:
             raise ValueError("mu grid must be non-empty")
         object.__setattr__(self, "mu_grid", mu_grid)
         object.__setattr__(self, "n_samples", as_int("sample count", self.n_samples, 1, MAX_SAMPLES))
-        _check_bound_factor(self.bound_factor)
+        bound_factor = as_real("bound factor", self.bound_factor, math.ulp(0.0), math.inf)
+        object.__setattr__(self, "bound_factor", bound_factor)
         object.__setattr__(self, "seed", as_int("seed", self.seed, 0, 2 ** 64 - 1))
 
 
@@ -413,11 +409,10 @@ def raised_bound_table(
     one set of geometry samples across the factors.  The inputs pass the
     :class:`MCConfig` checks before anything is drawn.
     """
-    factors = [as_float(factor) for factor in factors]
+    factors = [as_real("bound factor", factor, math.ulp(0.0), math.inf)
+               for factor in as_list("bound factors", factors)]
     if not factors:
         raise ValueError("bound factor list must be non-empty")
-    for factor in factors:
-        _check_bound_factor(factor)
     configs = [MCConfig(m, scheme, (mu,), n_samples, seed=seed) for m, scheme in RAISED_BOUND_ROWS]
     return [_estimate_cells(cfg, factors, n_workers)[0] for cfg in configs]
 

@@ -14,6 +14,7 @@ With these choices the singlet correlation law is
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 
 ATOL = 1e-12
 EIG_ATOL = 1e-10  # most negative eigenvalue a density matrix may have
+_INF = math.inf
 
 OUTCOMES = (1, -1)
 
@@ -56,6 +58,14 @@ def as_unit_vector(v) -> np.ndarray:
     return vec
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message; an int past Python's int-to-string limit by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # also a Fraction holding such an int
+        return f"a number of {int(value).bit_length()} bits"
+
+
 def as_int(name: str, value, lo, hi) -> int:
     """``value`` as an int in [lo, hi], hi may be inf; ValueError for a bool, a non-int or outside."""
     if type(value) is not int:  # numpy ints pass; an int skips the type test on hot paths
@@ -64,26 +74,37 @@ def as_int(name: str, value, lo, hi) -> int:
                 raise TypeError
             value = operator.index(value)
         except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
     if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {_shown(value)}")
     return value
 
 
-def as_float(value) -> float:
-    """``float(value)``, where a number past float range reads as +-inf for the range rules."""
-    try:
-        return float(value)
-    except OverflowError:  # an int or Fraction past 1.8e308
-        return math.inf if value > 0 else -math.inf
+def as_real(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a finite float in [lo, hi]; ValueError for a non-real, NaN, +-inf or outside.
+
+    Ints, floats, numpy scalars and Fractions pass; bools, None, strings, complex numbers and
+    arrays do not.  A number past float range reads as +-inf.  An infinite end prints as open.
+    Pass float ends: a float compares with an int more slowly.
+    """
+    if type(value) is not float:  # a float skips the type test on hot paths
+        if type(value) is not int and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction past 1.8e308
+            value = math.inf if value > 0 else -math.inf
+    if not (lo <= value <= hi and value - value == 0.0):  # inf - inf and NaN are NaN
+        low, high = (repr(float(end)).removesuffix(".0") for end in (lo, hi))  # 1.0 prints as 1
+        interval = f"{'(' if lo == -_INF else '['}{low}, {high}{')' if hi == _INF else ']'}"
+        raise ValueError(f"{name} must lie in {interval}, got {value}")
+    return value
 
 
 def as_visibility(mu) -> float:
-    """``mu`` as a float; ValueError unless it lies in [0, 1] (NaN fails)."""
-    mu = as_float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {mu}")
-    return mu
+    """``mu`` as a float; ValueError unless it lies in [0, 1]."""
+    return as_real("mixing probability", mu, 0.0, 1.0)
 
 
 def as_settings_count(m) -> int:
@@ -92,13 +113,19 @@ def as_settings_count(m) -> int:
 
 
 def as_angles(alpha_deg, phi_deg) -> tuple[float, float]:
-    """The misalignment angles as floats; ValueError unless both are finite."""
-    alpha_deg, phi_deg = as_float(alpha_deg), as_float(phi_deg)
-    if not (math.isfinite(alpha_deg) and math.isfinite(phi_deg)):
-        raise ValueError(
-            f"misalignment angles must be finite, got alpha = {alpha_deg}, phi = {phi_deg}"
-        )
-    return alpha_deg, phi_deg
+    """The misalignment angles in degrees as floats; ValueError unless both are finite."""
+    return (as_real("misalignment angle alpha", alpha_deg, -_INF, _INF),
+            as_real("misalignment angle phi", phi_deg, -_INF, _INF))
+
+
+def as_list(name: str, values) -> list:
+    """``values`` as a list; ValueError for a string or a bare number, which are not lists."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return list(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {_shown(values)}")
 
 
 def dot(x, y) -> np.ndarray:

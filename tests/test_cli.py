@@ -540,9 +540,9 @@ def four_setting_counts(path):
         (["threshold", "--criterion", "renyi", "--rs", "2,2", "--mu", "0.9733"],
          "Renyi orders must satisfy 1/r + 1/s = 2, got 1/r + 1/s = 1.0"),
         (["threshold", "--criterion", "renyi", "--rs", "0.3,inf", "--mu", "0.9733"],
-         "Renyi orders must be >= 1/2, got (0.3, inf)"),
+         "Renyi order must lie in [0.5, inf), got 0.3"),
         (["threshold", "--criterion", "renyi", "--rs", "nan,1", "--mu", "0.9733"],
-         "Renyi orders must be >= 1/2, got (nan, 1.0)"),
+         "Renyi order must lie in [0.5, inf), got nan"),
         # raised OverflowError: int too large to convert to float, with exit code 1
         (["bound", "--criterion", "db", "--m", "1" + "0" * 400],
          "settings count must lie in [2, 9007199254740991], got 1000"),
@@ -550,15 +550,15 @@ def four_setting_counts(path):
          "untrusted-side dimension must lie in [2, 9007199254740991], got 1000"),
         # warned in numpy, then named a NaN direction
         (["analyze", "--input", "BARE_COUNTS", "--mode", "mub", "--alpha", "inf"],
-         "misalignment angles must be finite, got alpha = inf, phi = 0.0"),
+         "misalignment angle alpha must lie in (-inf, inf), got inf"),
         # these two exited 0: only --mode mub read the angles
         (["analyze", "--input", "BARE_COUNTS", "--mode", "nom", "--alpha", "nan"],
-         "misalignment angles must be finite, got alpha = nan, phi = 0.0"),
+         "misalignment angle alpha must lie in (-inf, inf), got nan"),
         (["analyze", "--input", "M3_COUNTS", "--alpha", "nan", "--phi", "inf"],
-         "misalignment angles must be finite, got alpha = nan, phi = inf"),
+         "misalignment angle alpha must lie in (-inf, inf), got nan"),
         # the angles are checked before the file is opened
         (["analyze", "--input", "MISSING_COUNTS", "--phi", "nan"],
-         "misalignment angles must be finite, got alpha = 0.0, phi = nan"),
+         "misalignment angle phi must lie in (-inf, inf), got nan"),
         # printed "the Renyi criterion is only defined for two settings"
         (["threshold", "--criterion", "renyi", "--m", "3", "--mu", "0.9733"],
          "the Renyi criterion needs exactly two settings, got 3"),
@@ -572,6 +572,11 @@ def four_setting_counts(path):
         (["sweep", "--config", "NO_EQUALS_CONFIG"],
          "NO_EQUALS_CONFIG:2: expected key = value, got 'm 2'"),
         (["sweep", "--config", "EMPTY_KEY_CONFIG"], "EMPTY_KEY_CONFIG:2: empty key"),
+        # read the next flag as the path: "cannot read config file: ... '--out'"
+        (["sweep", "--m", "2", "--mu", "0.9", "--config", "--out", "x.csv"],
+         "--config needs a file path"),
+        (["analyze", "--input", "M4_COUNTS", "--mode", "nom", "--bootstrap", "10"],
+         "settings count must lie in [2, 3], got 4"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):

@@ -544,7 +544,8 @@ class TestCriticalSolvers:
     @pytest.mark.parametrize("alpha, phi", [(math.nan, 0.0), (0.0, INF), (-INF, 0.0), (0.0, math.nan)])
     def test_critical_mu_rejects_non_finite_angles(self, alpha, phi):
         # critical_mu(nan, 0) returned nan; critical_mu(0, inf) raised "math domain error"
-        with pytest.raises(ValueError, match="misalignment angles must be finite"):
+        message = r"^misalignment angle (alpha|phi) must lie in \(-inf, inf\), got "
+        with pytest.raises(ValueError, match=message):
             critical_mu(alpha, phi)
 
     def test_closed_form_at_a_huge_renyi_order(self):
@@ -606,7 +607,8 @@ class TestSweep:
 
     def test_angles_are_checked_before_any_criterion(self):
         # every alpha builds its Scenario before the one batched evaluation
-        with pytest.raises(ValueError, match="misalignment angles must be finite"):
+        message = r"^misalignment angle alpha must lie in \(-inf, inf\), got nan$"
+        with pytest.raises(ValueError, match=message):
             sweep(0.9, [0.0, math.nan], 0.0, 3, [Criterion("renyi")])
         with pytest.raises(ValueError, match="needs exactly two settings"):
             sweep(0.9, [0.0, 10.0], 0.0, 3, [Criterion("renyi")])

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from fractions import Fraction
 
@@ -6,8 +7,16 @@ import numpy as np
 import pytest
 
 from steerkit import qcore
-from steerkit.criteria import Criterion, Scenario, db_bound
-from steerkit.entropy import eur_bound_tsallis
+from steerkit.criteria import (
+    Criterion,
+    Scenario,
+    critical_alpha,
+    critical_mu,
+    db_bound,
+    db_lhs,
+    sweep,
+)
+from steerkit.entropy import eur_bound_tsallis, q_log, renyi_entropy, tsallis_entropy
 from steerkit.expio import MAX_BOOTSTRAP, evaluate_with_errors, synthesize_counts
 from steerkit.montecarlo import (
     MAX_HIST_BINS,
@@ -216,7 +225,8 @@ class TestMeasurementSettings:
     @pytest.mark.parametrize("m, alpha, phi", [(2, np.inf, 0.0), (3, 0.0, np.nan), (2, -np.inf, 1.0)])
     def test_mub_rejects_non_finite_angles(self, m, alpha, phi):
         # mub_settings(2, inf) returned NaN directions, with numpy RuntimeWarnings
-        with pytest.raises(ValueError, match="misalignment angles must be finite, got alpha = "):
+        message = r"^misalignment angle (alpha|phi) must lie in \(-inf, inf\), got "
+        with pytest.raises(ValueError, match=message):
             mub_settings(m, alpha, phi)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -320,3 +330,142 @@ class TestIntegerRule:
         _, _, _, call = COUNT_PARAMETERS[parameter]
         kind, result = _call_with_timeout(call, np.int64(2))
         assert kind == "returned", result
+
+    def test_an_int_past_the_digit_limit_prints_its_bit_length(self):
+        # raised Python's "Exceeds the limit (4300 digits) for integer string conversion"
+        message = "settings count must lie in [2, 9007199254740991], got a number of 16610 bits"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            db_bound(10 ** 5000)
+        with pytest.raises(ValueError, match="^n must be an integer, got a number of 16610 bits$"):
+            qcore.as_int("n", Fraction(10 ** 5000), 0, 3)
+
+
+#: Each real range: the name in messages, its ends, and how the message prints them.
+VISIBILITY = ("mixing probability", 0.0, 1.0, "[0, 1]")
+ALPHA = ("misalignment angle alpha", -math.inf, math.inf, "(-inf, inf)")
+PHI = ("misalignment angle phi", -math.inf, math.inf, "(-inf, inf)")
+TSALLIS = ("Tsallis order", 1.0, math.inf, "[1, inf)")
+RENYI = ("Renyi order", 0.5, math.inf, "[0.5, inf)")  # inf itself, the min-entropy, passes
+FACTOR = ("bound factor", math.ulp(0.0), math.inf, "[5e-324, inf)")
+
+_SHANNON = [Criterion("shannon")]
+
+#: Each public real parameter: its range, an integer value it accepts, and a
+#: call that passes a value to it and nothing else out of the ordinary.
+REAL_PARAMETERS = {
+    "Scenario mu": (VISIBILITY, 1, lambda v: Scenario(v)),
+    "Scenario alpha_deg": (ALPHA, 10, lambda v: Scenario(0.9, v)),
+    "Scenario phi_deg": (PHI, 10, lambda v: Scenario(0.9, 0.0, v)),
+    "werner_state": (VISIBILITY, 1, lambda v: werner_state(v)),
+    "joint_table_closed mu": (VISIBILITY, 1, lambda v: joint_table_closed(v, Z, Z)),
+    "mub_settings alpha_deg": (ALPHA, 10, lambda v: mub_settings(2, v)),
+    "mub_settings phi_deg": (PHI, 10, lambda v: mub_settings(3, 0.0, v)),
+    "critical_mu alpha_deg": (ALPHA, 10, lambda v: critical_mu(v, 0.0)),
+    "critical_mu phi_deg": (PHI, 10, lambda v: critical_mu(0.0, v)),
+    "critical_alpha mu": (VISIBILITY, 1, lambda v: critical_alpha(_SHANNON[0], v)),
+    "critical_alpha phi_deg": (PHI, 10, lambda v: critical_alpha(_SHANNON[0], 0.9, v)),
+    "sweep mu": (VISIBILITY, 1, lambda v: sweep(v, [0.0], 0.0, 2, _SHANNON)),
+    "sweep phi_deg": (PHI, 10, lambda v: sweep(0.9, [0.0], v, 2, _SHANNON)),
+    "sweep alpha grid entry": (ALPHA, 10, lambda v: sweep(0.9, [0.0, v], 0.0, 2, _SHANNON)),
+    "Criterion q": (TSALLIS, 2, lambda v: Criterion("tsallis", q=v)),
+    "Criterion r": (RENYI, 1, lambda v: Criterion("renyi", r=v, s=1.0)),
+    "Criterion s": (RENYI, 1, lambda v: Criterion("renyi", r=1.0, s=v)),
+    "tsallis_entropy q": (TSALLIS, 2, lambda v: tsallis_entropy([0.5, 0.5], v)),
+    "renyi_entropy r": (RENYI, 2, lambda v: renyi_entropy([0.5, 0.5], v)),
+    "eur_bound_tsallis q": (TSALLIS, 2, lambda v: eur_bound_tsallis(v, 2)),
+    "q_log x": (("q-logarithm argument", math.ulp(0.0), math.inf, "[5e-324, inf)"), 2,
+                lambda v: q_log(v, 2.0)),
+    "q_log q": (("q-logarithm order", -math.inf, math.inf, "(-inf, inf)"), 2,
+                lambda v: q_log(2.0, v)),
+    "MCConfig mu grid entry": (VISIBILITY, 1, lambda v: _mc_config(mu_grid=(0.9, v))),
+    "MCConfig bound_factor": (FACTOR, 1, lambda v: _mc_config(bound_factor=v)),
+    "raised_bound_table factor": (FACTOR, 1, lambda v: raised_bound_table((1.0, v), 0.9, 10)),
+    "raised_bound_table mu": (VISIBILITY, 1, lambda v: raised_bound_table((1.0,), v, 10)),
+    "db_lhs mu": (VISIBILITY, 1, lambda v: db_lhs(*mub_settings(2), v)),
+    "evaluate_with_errors jitter_deg": (
+        ("jitter in degrees", 0.0, math.inf, "[0, inf)"), 1,
+        lambda v: evaluate_with_errors(_counts_data(), _SHANNON, 2, v)),
+    "synthesize_counts mu": (VISIBILITY, 1, lambda v: synthesize_counts(v, *mub_settings(2), 100)),
+    "synthesize_counts total_per_setting": (
+        ("total_per_setting", math.ulp(0.0), 2.0 ** 53 - 1, "[5e-324, 9007199254740991]"), 100,
+        lambda v: synthesize_counts(0.9, *mub_settings(2), v)),
+}
+
+
+def _refused_reals(lo, hi, admits_inf):
+    """NaN, each infinity outside [lo, hi], and the nearest float beyond each finite end."""
+    values = [math.nan] + [end for end in (-math.inf, math.inf) if not (admits_inf and end > 0)]
+    return values + [math.nextafter(end, end - 1.0 if end == lo else end + 1.0)
+                     for end in (lo, hi) if math.isfinite(end)]
+
+
+class TestRealRule:
+    def test_as_real(self):
+        for value in (np.float32(0.25), np.int64(3), Fraction(1, 4), 3):
+            assert type(qcore.as_real("x", value, 0.0, 3.0)) is float
+        assert qcore.as_real("x", Fraction(1, 3), 0.0, 1.0) == 1 / 3
+        message = "x must lie in (-inf, 1e+300], got inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qcore.as_real("x", 10 ** 400, -math.inf, 1e300)  # past float range: inf
+        for value in (np.True_, np.array(0.5), np.array([0.5]), np.complex128(1.0), b"1"):
+            with pytest.raises(ValueError, match="^x must be a real number, got "):
+                qcore.as_real("x", value, 0.0, 1.0)
+
+    @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+    @pytest.mark.parametrize("value", [None, "0.5", True, 1j])
+    def test_non_reals_raise_the_type_message(self, parameter, value):
+        # None raised TypeError in a dozen entry points; "0.5" passed Scenario, sweep and Renyi
+        (name, _, _, _), _, call = REAL_PARAMETERS[parameter]
+        if value is None and parameter in ("Criterion r", "Criterion s"):
+            return  # None selects the default order, (1/2, inf)
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+    def test_values_outside_the_range_raise_the_range_message(self, parameter):
+        (name, lo, hi, interval), _, call = REAL_PARAMETERS[parameter]
+        for value in _refused_reals(lo, hi, admits_inf=name == "Renyi order"):
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"{name} must lie in {interval}, got {value}"
+
+    @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+    def test_numpy_scalars_and_fractions_are_accepted(self, parameter):
+        _, valid, call = REAL_PARAMETERS[parameter]
+        for value in (np.float32(valid), np.int64(valid), Fraction(valid)):
+            call(value)
+
+    def test_an_infinite_renyi_order_is_the_min_entropy(self):
+        p = [0.75, 0.25]
+        for order in (math.inf, np.float32(math.inf), 10 ** 400):
+            assert renyi_entropy(p, order) == -math.log(0.75)
+        assert Criterion("renyi", r=np.float64(math.inf), s=0.5).r == math.inf
+
+    def test_output_values_are_python_floats(self):
+        # sweep(True, ...) wrote mu=True into its rows, and phi_deg="5" wrote '5'
+        rows = sweep(np.float32(0.5), [np.int64(10)], Fraction(5), 2, [Criterion("db")])
+        assert all(type(getattr(rows[0], field)) is float
+                   for field in ("mu", "alpha_deg", "phi_deg", "value"))
+        config = _mc_config(mu_grid=(np.float32(0.5),), bound_factor=np.int64(1))
+        estimates = violation_probability(config) + raised_bound_table((Fraction(11, 10),), 1, 10)[0]
+        assert type(config.bound_factor) is float
+        assert all(type(est.mu) is float and type(est.bound_factor) is float for est in estimates)
+
+
+#: Each parameter that takes a list of numbers, and a call that passes a value to it.
+LIST_PARAMETERS = {
+    "mu grid": lambda v: _mc_config(mu_grid=v),
+    "alpha grid": lambda v: sweep(0.9, v, 0.0, 2, _SHANNON),
+    "bound factors": lambda v: raised_bound_table(v, 0.9, 10),
+}
+
+
+@pytest.mark.parametrize("parameter", LIST_PARAMETERS)
+@pytest.mark.parametrize("value", [1.5, "1", None, np.array(1.0)])
+def test_a_bare_number_or_a_string_is_not_a_list(parameter, value):
+    # 1.5 raised "'float' object is not iterable"; "1" ran raised_bound_table at factor 1.0
+    with pytest.raises(ValueError) as info:
+        LIST_PARAMETERS[parameter](value)
+    assert str(info.value) == f"{parameter} must be a list of numbers, got {value!r}"
