@@ -91,15 +91,17 @@ class Criterion:
         token = token.strip()
         if token in ("shannon", "renyi", "db"):
             return cls(token)
-        match = re.fullmatch(r"renyi\(([^,]+),([^)]+)\)", token)
-        if match:
-            return cls("renyi", r=parse_order(match.group(1)), s=parse_order(match.group(2)))
-        match = re.fullmatch(r"tsallis([0-9.]+)", token)
-        if match:
-            return cls("tsallis", q=float(match.group(1)))
-        raise ValueError(
-            f"cannot parse criterion {token!r}; expected shannon, tsallisQ, renyi, renyi(R,S) or db"
-        )
+        try:  # a malformed number, such as tsallis. or renyi(x,1), is a malformed token
+            if match := re.fullmatch(r"renyi\(([^,]+),([^)]+)\)", token):
+                kind, orders = "renyi", {"r": parse_order(match[1]), "s": parse_order(match[2])}
+            elif match := re.fullmatch(r"tsallis([0-9.]+)", token):
+                kind, orders = "tsallis", {"q": float(match[1])}
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"cannot parse criterion {token!r}; "
+                             "expected shannon, tsallisQ, renyi, renyi(R,S) or db") from None
+        return cls(kind, **orders)
 
     def order_label(self, m: int | None = None) -> str:
         """The ``order`` column of a result, such as q=2 or r=0.5,s=inf; ``db`` reads m=3."""

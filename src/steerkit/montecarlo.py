@@ -28,19 +28,28 @@ s = |a1 x a2| = sqrt(1 - c^2) for the cosine c ~ U[-1, 1], and u ~ U[0, 1] is
 the |cos| between a plane normal and the other normal (pairs) or the third
 direction (triads).
 
-=============  ========  ==============================
-scheme, m      uniforms  geometric factor
-=============  ========  ==============================
-dihedral, 2    1         cos gamma, gamma ~ U[0, pi/2]
-haar, 2        1         u
-haar, 3        0         exactly 1 (orthonormal triads)
-isotropic, 2   3         s_A s_B u
-isotropic, 3   4         s_A u_A s_B u_B
-=============  ========  ==============================
+=============  =====  ==============================
+scheme, m      words  geometric factor
+=============  =====  ==============================
+dihedral, 2    1/2    cos gamma, gamma ~ U[0, pi/2]
+haar, 2        1/2    u
+haar, 3        0      exactly 1 (orthonormal triads)
+isotropic, 2   3/2    s_A s_B u
+isotropic, 3   2      s_A u_A s_B u_B
+=============  =====  ==============================
+
+Words are the 64-bit Philox words a sample draws.  Each word gives two
+uniforms (:func:`_chunk_uniforms` has the layout), so a sample takes k
+uniforms, twice its words; row r of a chunk of n samples, the r-th scalar of
+every sample, is uniforms [r n, (r + 1) n).
 
 :data:`STREAM_VERSION` numbers what a seed draws.  Version 1 drew full
-direction vectors and reduced them; version 2 draws the scalars above, so a
-given seed gives different numbers than under version 1.
+direction vectors and reduced them.  Version 2 drew the scalars above, each
+a float64 ``Generator.random`` uniform that used a whole word.  Version 3
+takes two uniforms from each word, so a given seed gives different numbers
+under each version.  The laws stay those above up to the 2^-32 grid: with
+the other uniforms fixed, a sample violates a cell on an interval of each
+uniform, so a violation probability moves by at most k 2^-32 < 1e-9.
 
 Counting
 --------
@@ -88,7 +97,7 @@ CHUNK_SIZE = 1 << 16
 
 #: Numbers what a seed draws; bumped, with new pins in ``tests/test_pins.py``,
 #: by every change to the numbers a given seed gives.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 #: Most chunks one run may plan: 16,384 chunks are 2**30 (about 1.07e9)
 #: samples.
@@ -175,24 +184,61 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+#: Most words one draw returns.  The stream is the same in any block size;
+#: blocks keep an isotropic chunk's words at 256 KiB beside its uniforms, not
+#: 1 MiB, which lowered the peak RSS of mc-grid runs by about 1 MiB.
+_WORDS_PER_DRAW = CHUNK_SIZE // 2
+
+
+def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
+    """``count`` uniforms of one chunk, two from each 64-bit Philox word.
+
+    The chunk's generator draws W = ceil(count / 2) raw words w_0, w_1, ...
+    (``integers`` over the full 64-bit range returns each word as drawn).
+    Uniform i is (j + 1/2) 2^-32, where j is the low 32-bit half of w_i for
+    i < W and the high half of w_(i - W) after that; an odd count leaves the
+    last high half unused.  Every uniform lies strictly inside (0, 1), on the
+    midpoints of the 2^-32 grid.  Shifts and masks, not a 32-bit view, split
+    the words, so the layout does not depend on byte order.
+    """
+    n_words = (count + 1) // 2
+    rng = chunk_rng(seed, chunk_index)
+    uniforms = np.empty(2 * n_words)
+    for start in range(0, n_words, _WORDS_PER_DRAW):
+        stop = min(start + _WORDS_PER_DRAW, n_words)
+        words = rng.integers(0, 1 << 64, stop - start, dtype=np.uint64)
+        np.bitwise_and(words, 0xFFFFFFFF, out=uniforms[start:stop], casting="unsafe")
+        np.right_shift(words, 32, out=uniforms[n_words + start:n_words + stop], casting="unsafe")
+    uniforms += 0.5
+    uniforms *= 2.0 ** -32
+    return uniforms[:count]
+
+
 def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) -> np.ndarray:
     """Geometric factor per sample of one chunk: the vector-form LHS at mu = 1.
 
-    The chunk draws one ``(k, n)`` array of uniforms, row ``j`` holding the
-    ``j``-th scalar of every sample, with ``k`` as in the module docstring.
+    The chunk draws k n uniforms (:func:`_chunk_uniforms`) as a ``(k, n)``
+    array, row ``r`` holding the ``r``-th scalar of every sample, with ``k``
+    as in the module docstring.
     """
     measurement_class(scheme)
     if scheme == "haar" and m == 3:
         return np.ones(n)  # orthonormal triads: |det A| = |det B| = 1
-    rng = chunk_rng(seed, chunk_index)
     if scheme == "dihedral":
-        return np.cos(rng.random(n) * (np.pi / 2.0))
+        return np.cos(_chunk_uniforms(seed, chunk_index, n) * (np.pi / 2.0))
     if scheme == "haar":
-        return rng.random(n)
+        return _chunk_uniforms(seed, chunk_index, n)
     # isotropic: s = sqrt(1 - c^2) = 2 sqrt(v (1 - v)) for c = 2v - 1 ~ U[-1, 1]
-    uniforms = rng.random((m + 1, n))
+    uniforms = _chunk_uniforms(seed, chunk_index, (m + 1) * n).reshape(m + 1, n)
     v_a, v_b = uniforms[0], uniforms[1]
-    geom = (v_a - v_a * v_a) * (v_b - v_b * v_b)
+    # geom = (v_a - v_a^2) (v_b - v_b^2), rounded as written, with row 0 as
+    # scratch: one new row where the plain expression makes four, whose pages
+    # the allocator returned and re-faulted on every chunk
+    geom = v_a * v_a
+    np.subtract(v_a, geom, out=geom)
+    np.multiply(v_b, v_b, out=v_a)
+    np.subtract(v_b, v_a, out=v_a)
+    geom *= v_a
     np.sqrt(geom, out=geom)
     geom *= 4.0
     for u in uniforms[2:]:
@@ -301,12 +347,13 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     def task(chunk_index, size):
         if angle_count:
             # the uniforms _chunk_geometry draws for dihedral, before the cosine
-            return _dihedral_counts(chunk_rng(cfg.seed, chunk_index).random(size), thresholds)
+            return _dihedral_counts(_chunk_uniforms(cfg.seed, chunk_index, size), thresholds)
         geom = _chunk_geometry(cfg.scheme, m, cfg.seed, chunk_index, size)
         if single:
             counts = np.array([np.count_nonzero(geom > thresholds[0])], dtype=np.intp)
         else:
-            counts = size - np.searchsorted(np.sort(geom), thresholds, side="right")
+            geom.sort()
+            counts = size - np.searchsorted(geom, thresholds, side="right")
         if hist_edges is None:
             return counts
         amounts = cfg.mu_grid[0] ** m * geom - cfg.bound_factor * DB_VECTOR_THRESHOLD[m]

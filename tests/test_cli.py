@@ -577,6 +577,12 @@ def four_setting_counts(path):
          "--config needs a file path"),
         (["analyze", "--input", "M4_COUNTS", "--mode", "nom", "--bootstrap", "10"],
          "settings count must lie in [2, 3], got 4"),
+        # printed float's "could not convert string to float: '.'" (or 'x')
+        (["sweep", "--m", "2", "--mu", "0.9", "--criteria", "tsallis."],
+         "cannot parse criterion 'tsallis.'; expected shannon, tsallisQ, renyi, renyi(R,S) or db"),
+        (["sweep", "--m", "2", "--mu", "0.9", "--criteria", "renyi(x,1)"],
+         "cannot parse criterion 'renyi(x,1)'; expected shannon, tsallisQ, renyi, renyi(R,S) "
+         "or db"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):

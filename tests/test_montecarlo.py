@@ -178,10 +178,12 @@ class TestSamplers:
         assert np.allclose(reference_geometry(alice, bob), expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "scheme, m, per_sample",
+        "scheme, m, uniforms",
         [("dihedral", 2, 1), ("haar", 2, 1), ("haar", 3, 0), ("isotropic", 2, 3), ("isotropic", 3, 4)],
     )
-    def test_draws_per_sample(self, monkeypatch, scheme, m, per_sample):
+    def test_draws_per_sample(self, monkeypatch, scheme, m, uniforms):
+        # two uniforms per 64-bit word: 0.5, 0.5, 0, 1.5 and 2 words per sample,
+        # rounded up for the chunk (n is odd)
         drawn = []
         real_rng = montecarlo.chunk_rng
 
@@ -189,13 +191,43 @@ class TestSamplers:
             def __init__(self, seed, chunk_index):
                 self._rng = real_rng(seed, chunk_index)
 
-            def random(self, size):
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 1 << 64, np.uint64)
                 drawn.append(np.prod(size))
-                return self._rng.random(size)
+                return self._rng.integers(low, high, size, dtype)
 
         monkeypatch.setattr(montecarlo, "chunk_rng", RecordingGenerator)
-        assert _chunk_geometry(scheme, m, 1, 0, 1000).shape == (1000,)
-        assert sum(drawn) == per_sample * 1000
+        n = 1001
+        assert _chunk_geometry(scheme, m, 1, 0, n).shape == (n,)
+        assert sum(drawn) == math.ceil(uniforms * n / 2)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000, 3 * CHUNK_SIZE + 1])
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (2024, 11), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_uniforms_are_the_halves_of_the_philox_words(self, seed, chunk, count):
+        # the raw words of the chunk's key in one call to the bit generator itself;
+        # the engine draws 3 * CHUNK_SIZE + 1 uniforms in more than one call
+        words = np.random.Philox(key=[seed, chunk]).random_raw((count + 1) // 2)
+        halves = np.concatenate([words & 0xFFFFFFFF, words >> 32])[:count]
+        uniforms = montecarlo._chunk_uniforms(seed, chunk, count)
+        # u = (j + 1/2) 2^-32 exactly when u 2^33 = 2 j + 1; both sides are exact
+        assert np.array_equal(uniforms * 2.0 ** 33, 2 * halves + 1)
+
+    def test_uniforms_lie_inside_the_unit_interval_on_the_midpoint_lattice(self, monkeypatch):
+        uniforms = montecarlo._chunk_uniforms(5, 0, 3 * CHUNK_SIZE + 1)
+        assert np.all((uniforms > 0.0) & (uniforms < 1.0))
+        scaled = uniforms * 2.0 ** 33  # exact: a power of two
+        assert np.all(scaled == np.floor(scaled)) and np.all(scaled % 2.0 == 1.0)
+
+        class ExtremeWords:
+            def __init__(self, seed, chunk_index):
+                pass
+
+            def integers(self, low, high, size, dtype):
+                return np.array([0, 2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32], dtype=dtype)[:size]
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", ExtremeWords)
+        lo, hi = 2.0 ** -33, 1.0 - 2.0 ** -33
+        assert montecarlo._chunk_uniforms(0, 0, 8).tolist() == [lo, hi, hi, lo, lo, hi, lo, 2.0 ** -32 + lo]
 
 
 SCHEME_PAIRS = [("dihedral", 2), ("haar", 2), ("haar", 3), ("isotropic", 2), ("isotropic", 3)]
