@@ -239,7 +239,7 @@ def _cmd_bound(args) -> int:
     elif args.criterion == "tsallis":
         value = entropy.eur_bound_tsallis(args.q, m=args.m)
     else:  # renyi2
-        value = entropy.eur_bound_renyi2()
+        value = entropy.eur_bound_renyi2(args.m)
     with _output(args.out) as stream:
         stream.write(f"{value:.10g}\n")
     return 0

@@ -187,10 +187,9 @@ def _tsallis_values(probs, q: float) -> np.ndarray:
 
 
 def _renyi_values(probs, r: float, s: float) -> np.ndarray:
-    if probs.shape[-3] != 2:
-        raise ValueError(f"the Renyi criterion needs exactly two settings, got {probs.shape[-3]}")
+    bound = ent.eur_bound_renyi2(probs.shape[-3])
     first = ent.conditional_arimoto(probs[..., 0, :, :], r)
-    return ent.eur_bound_renyi2() - first - ent.conditional_arimoto(probs[..., 1, :, :], s)
+    return bound - first - ent.conditional_arimoto(probs[..., 1, :, :], s)
 
 
 def _db_lhs_values(alice, bob, mu) -> np.ndarray:
@@ -371,10 +370,8 @@ def closed_form(scenario: Scenario, criterion: Criterion) -> float:
         overlaps = [mu, math.sqrt(3.0) / 2.0 * mu, math.sqrt(2.0 / 3.0) * mu][:m]
 
     if criterion.kind == "renyi":
-        if m != 2:
-            raise ValueError(f"the Renyi criterion needs exactly two settings, got {m}")
         return (
-            math.log(2.0)
+            ent.eur_bound_renyi2(m)
             - _renyi_term(criterion.r, overlaps[0])
             - _renyi_term(criterion.s, overlaps[1])
         )

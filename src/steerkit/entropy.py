@@ -13,21 +13,7 @@ import sys
 
 import numpy as np
 
-from .qcore import JointTable, as_array, as_real, as_settings_count
-
-DIST_ATOL = 1e-10
-
-
-def _as_distribution(p) -> np.ndarray:
-    probs = as_array("distribution", p).ravel()
-    if probs.size == 0:
-        raise ValueError("distribution must be non-empty")
-    if probs.min() < -DIST_ATOL:
-        raise ValueError(f"distribution has negative entry {probs.min()}")
-    total = probs.sum()
-    if abs(total - 1.0) > DIST_ATOL:
-        raise ValueError(f"distribution sums to {total}, expected 1")
-    return np.clip(probs, 0.0, None)
+from .qcore import JointTable, as_int, as_probabilities, as_real, as_settings_count
 
 
 def check_tsallis_order(q) -> float:
@@ -54,7 +40,7 @@ def q_log(x: float, q: float) -> float:
 
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p ln p in nats."""
-    probs = _as_distribution(p)
+    probs = as_probabilities("distribution", p).ravel()
     nz = probs[probs > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -62,7 +48,7 @@ def shannon_entropy(p) -> float:
 def tsallis_entropy(p, q: float) -> float:
     """Tsallis entropy -sum p^q ln_q(p) = (1 - sum p^q)/(q - 1)."""
     q = check_tsallis_order(q)
-    probs = _as_distribution(p)
+    probs = as_probabilities("distribution", p).ravel()
     if q == 1.0:
         return shannon_entropy(probs)
     return float((1.0 - (probs ** q).sum()) / (q - 1.0))
@@ -71,7 +57,7 @@ def tsallis_entropy(p, q: float) -> float:
 def renyi_entropy(p, r: float) -> float:
     """Renyi entropy ln(sum p^r)/(1 - r); Shannon at r = 1, -ln(max p) at r = inf."""
     r = check_renyi_order(r)
-    probs = _as_distribution(p)
+    probs = as_probabilities("distribution", p).ravel()
     if r == 1.0:
         return shannon_entropy(probs)
     if r == math.inf:
@@ -182,6 +168,8 @@ def eur_bound_tsallis(q: float, m: int) -> float:
     return (as_settings_count(m) - 1) * q_log(2.0, q)
 
 
-def eur_bound_renyi2() -> float:
-    """Order-independent Renyi bound for two orthogonal qubit measurements: ln 2."""
+def eur_bound_renyi2(m: int) -> float:
+    """The Renyi bound ln 2, for any orders, of m = 2 orthogonal qubit settings; else ValueError."""
+    if as_int("settings count", m, 0, math.inf) != 2:
+        raise ValueError(f"the Renyi criterion needs exactly two settings, got {m}")
     return math.log(2.0)

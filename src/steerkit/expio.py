@@ -54,17 +54,11 @@ class CountsData:
     bob: np.ndarray | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
+        counts = qcore.as_counts("counts", self.counts)
         if counts.ndim != 3 or counts.shape[1:] != (2, 2):
             raise ValueError(f"counts must have shape (m, 2, 2), got shape {counts.shape}")
         if len(counts) == 0:
             raise ValueError("no count rows found")
-        # before the int64 cast, which would truncate 0.5 to 0 and wrap inf or 1e30;
-        # below 2**53 a count is exact in float64 and the int64 total cannot overflow
-        if not (np.all(np.abs(counts) < 2.0 ** 53) and np.all(counts == np.floor(counts))):
-            raise ValueError(f"counts must be whole numbers below 2**53, got {counts.tolist()}")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
         vectors = {}
         for name in ("alice", "bob"):
             vecs = getattr(self, name)
@@ -84,7 +78,7 @@ class CountsData:
             raise ValueError(
                 "measurement vectors must be recorded for both parties on every setting or on none"
             )
-        for name, value in (("counts", counts.astype(np.int64)), *vectors.items()):
+        for name, value in (("counts", counts), *vectors.items()):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -255,7 +249,7 @@ def write_counts(data: CountsData, path) -> None:
 
 def counts_to_table(counts) -> JointTable:
     """Maximum-likelihood joint table p = n / sum(n) of one setting's 2x2 counts."""
-    counts = np.asarray(counts)
+    counts = CountsData([counts]).counts[0]
     return JointTable(counts / counts.sum())
 
 

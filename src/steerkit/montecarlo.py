@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_array, as_int, as_list, as_real, as_settings_count, as_visibility
+from .qcore import as_counts, as_int, as_list, as_real, as_settings_count, as_visibility
 
 #: Each sampling scheme and its measurement class: 'rom' for orthogonal
 #: measurements, 'crm' for isotropic vectors.
@@ -415,11 +415,8 @@ def violation_histogram(
     edges = histogram_edges(cfg, bins)
     if bin_counts is None:
         bin_counts = _estimate_cells(cfg, (cfg.bound_factor,), n_workers, edges)[1]
-    bin_counts = as_array("bin_counts", bin_counts)
-    # negated: a NaN count fails; below 2**53 the counts and their sum are exact
-    if bin_counts.shape != edges[1:].shape or not np.all(
-        (bin_counts >= 0.0) & (bin_counts < 2.0 ** 53) & (bin_counts == np.floor(bin_counts))
-    ):
+    bin_counts = as_counts("bin_counts", bin_counts)
+    if bin_counts.shape != edges[1:].shape:
         raise ValueError(f"bin_counts must be {len(edges) - 1} whole counts in [0, 2**53)")
     n_violations = int(bin_counts.sum())
     if n_violations == 0:

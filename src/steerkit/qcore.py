@@ -40,11 +40,40 @@ SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 def as_array(name: str, value, dtype=float) -> np.ndarray:
-    """``value`` as a ``dtype`` array; ValueError for an int past float range, as numpy refuses."""
+    """``value`` as a ``dtype`` array; ValueError unless each entry passes :func:`as_real`'s type
+    test (any number passes for a complex ``dtype``) and lies within float range."""
+    array = np.asarray(value)
+    kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+    number = numbers.Number if kind == "complex" else numbers.Real
+    if array.dtype.kind not in ("iufc" if kind == "complex" else "iuf") and not (
+            array.dtype == object  # such as Fractions, or ints past int64
+            and all(isinstance(x, number) and not isinstance(x, bool) for x in array.flat)):
+        raise ValueError(f"{name} must be an array of {kind} numbers, got dtype {array.dtype}")
     try:
-        return np.asarray(value, dtype=dtype)
+        return array.astype(dtype, copy=False)
     except OverflowError:
         raise ValueError(f"{name} has an entry past float range") from None
+
+
+def as_probabilities(name: str, value) -> np.ndarray:
+    """``value`` as a float array clipped to [0, 1]; ValueError unless it is non-empty and its
+    entries lie in [0, 1] and sum to 1, each within ATOL."""
+    probs = as_array(name, value)
+    if not (probs.size and probs.min() >= -ATOL and probs.max() <= 1.0 + ATOL):  # NaN fails
+        raise ValueError(f"{name} must be non-empty with entries in [0, 1], got {probs}")
+    if not abs(probs.sum() - 1.0) <= ATOL:  # summed once every entry is in range: no inf - inf
+        raise ValueError(f"{name} entries sum to {probs.sum()}, expected 1")
+    return np.clip(probs, 0.0, 1.0)
+
+
+def as_counts(name: str, value) -> np.ndarray:
+    """``value`` as an int64 array; ValueError unless each entry is a whole number in [0, 2**53),
+    where a count is exact in float64 and an int64 total cannot overflow."""
+    counts = as_array(name, value)
+    valid = (counts >= 0.0) & (counts < 2.0 ** 53) & (counts == np.floor(counts))  # NaN fails
+    if not valid.all():
+        raise ValueError(f"{name} must be whole numbers in [0, 2**53), got {counts[~valid][0]}")
+    return counts.astype(np.int64)
 
 
 def as_unit_vector(v) -> np.ndarray:
@@ -158,7 +187,7 @@ def validate_density_matrix(rho) -> np.ndarray:
 def bloch_projector(u, outcome: int) -> np.ndarray:
     """Projector (1 + outcome * u.sigma)/2 onto the ``outcome`` eigenspace."""
     vec = as_unit_vector(u)
-    if outcome not in OUTCOMES:
+    if (outcome := as_int("outcome", outcome, -1, 1)) not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     u_dot_sigma = sum(c * p for c, p in zip(vec, PAULIS))
     return 0.5 * (np.eye(2, dtype=complex) + outcome * u_dot_sigma)
@@ -176,15 +205,9 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = as_array("joint table", self.probs)
+        probs = as_probabilities("joint table", self.probs)
         if probs.shape != (2, 2):
             raise ValueError(f"joint table must be 2x2, got shape {probs.shape}")
-        # negated comparisons: a NaN entry fails them
-        if not (probs.min() >= -ATOL and probs.max() <= 1.0 + ATOL):
-            raise ValueError(f"joint table entries must lie in [0, 1], got {probs}")
-        if not abs(probs.sum() - 1.0) <= ATOL:
-            raise ValueError(f"joint table entries sum to {probs.sum()}, expected 1")
-        probs = np.clip(probs, 0.0, 1.0)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 

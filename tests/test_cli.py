@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from steerkit import cli, montecarlo, qcore
 from steerkit.criteria import Criterion, Scenario, closed_form
-from steerkit.expio import MAX_BOOTSTRAP, CountsData, synthesize_counts, write_counts
+from steerkit.expio import MAX_BOOTSTRAP, CountsData, load_counts, synthesize_counts, write_counts
 from steerkit.montecarlo import CHUNK_SIZE, MAX_SAMPLES
 
 
@@ -391,6 +391,23 @@ class TestAnalyzeCommand:
         write_counts(data, path)
         return path
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.make_counts(tmp_path, m=2, total=10_000)
+        lines = path.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join(line + ("\n", "  \n", " , ,,\t\n")[k % 3]
+                                  for k, line in enumerate(lines)))
+        data, spaced_data = load_counts(path), load_counts(spaced)
+        for field in ("counts", "alice", "bob"):
+            assert np.array_equal(getattr(spaced_data, field), getattr(data, field))
+        outputs = []
+        for source in (path, spaced):
+            out = tmp_path / f"{source.stem}.json"
+            assert cli.main(["analyze", "--input", str(source), "--criteria", "shannon,db",
+                             "--bootstrap", "20", "--seed", "3", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_synthetic_nom_three_settings(self, tmp_path):
         path = self.make_counts(tmp_path)
         result = run_cli(
@@ -583,6 +600,11 @@ def four_setting_counts(path):
         (["sweep", "--m", "2", "--mu", "0.9", "--criteria", "renyi(x,1)"],
          "cannot parse criterion 'renyi(x,1)'; expected shannon, tsallisQ, renyi, renyi(R,S) "
          "or db"),
+        # these two printed ln 2 and exited 0
+        (["bound", "--criterion", "renyi2", "--m", "3"],
+         "the Renyi criterion needs exactly two settings, got 3"),
+        (["bound", "--criterion", "renyi2", "--m", "7"],
+         "the Renyi criterion needs exactly two settings, got 7"),
     ],
 )
 def test_library_value_errors_exit_2_with_one_message(tmp_path, capsys, argv, message):

@@ -105,6 +105,20 @@ class TestCriterionValidation:
         with pytest.raises(ValueError):
             Criterion(kind, **orders)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown criterion 'shanon'$"):
+            Criterion("shanon")
+
+    def test_unknown_measurement_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown measurement mode 'mubs'$"):
+            Scenario(0.9, mode="mubs")
+
+    @pytest.mark.parametrize("vectors", [{}, {"alice": qcore.mub_settings(2)[0]},
+                                         {"bob": qcore.mub_settings(2)[1]}])
+    def test_explicit_mode_needs_both_parties_vectors(self, vectors):
+        with pytest.raises(ValueError, match="^explicit mode needs alice and bob vectors$"):
+            Scenario(0.9, mode="explicit", **vectors)
+
     def test_tsallis_order_one_is_shannon(self):
         crit = Criterion("tsallis", q=1)
         assert crit == Criterion("shannon") == Criterion("shannon", q=1.0)

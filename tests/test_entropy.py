@@ -186,9 +186,9 @@ class TestBounds:
             eur_bound_tsallis(2.0, 4)
 
     def test_renyi_bound(self):
-        assert np.isclose(eur_bound_renyi2(), 0.693147, atol=1e-6)
-        assert np.isclose(eur_bound_renyi2(), 2.0 * math.log(math.sqrt(2.0)), atol=1e-15)
-        assert np.isclose(eur_bound_renyi2(), eur_bound_tsallis(1.0, 2), atol=1e-15)
+        assert np.isclose(eur_bound_renyi2(2), 0.693147, atol=1e-6)
+        assert np.isclose(eur_bound_renyi2(2), 2.0 * math.log(math.sqrt(2.0)), atol=1e-15)
+        assert np.isclose(eur_bound_renyi2(2), eur_bound_tsallis(1.0, 2), atol=1e-15)
 
 
 def reference_conditional(probs):

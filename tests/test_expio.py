@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -322,6 +323,10 @@ class TestSynthesizeCounts:
                     synthesize_counts(0.9, alice, bob, total, seed=seed)
 
 
+#: The count rule's message, as a pattern.
+WHOLE_COUNTS = re.escape("counts must be whole numbers in [0, 2**53)")
+
+
 class TestCountsToTable:
     def test_uniform(self):
         table = counts_to_table(np.full((2, 2), 100))
@@ -334,6 +339,16 @@ class TestCountsToTable:
     def test_simple_arithmetic(self):
         table = counts_to_table(CountsData([[[10, 40], [40, 10]]]).counts[0])
         assert np.isclose(table.probs[0, 0], 0.1, atol=1e-15)
+
+    def test_counts_follow_the_dataset_rules(self):
+        # zeros warned "invalid value encountered in divide" before the ValueError;
+        # strings raised TypeError
+        with pytest.raises(ValueError, match="^setting 1 has zero total counts$"):
+            counts_to_table(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^counts must be an array of real numbers, got dtype"):
+            counts_to_table([["10", "40"], ["40", "10"]])
+        with pytest.raises(ValueError, match=f"^{WHOLE_COUNTS}, got 0.5$"):
+            counts_to_table([[0.5, 40], [40, 10]])
 
     def test_zero_total_rejected(self):
         for k in range(3):  # named by its number, k + 1
@@ -353,7 +368,7 @@ class TestCountsToTable:
         ],
     )
     def test_fractional_or_non_finite_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="whole numbers below"):
+        with pytest.raises(ValueError, match=f"^{WHOLE_COUNTS}, got "):
             CountsData(np.array([[[1, 1], [1, 1]], counts]))
 
     def test_integer_valued_float_counts_accepted(self):
@@ -378,7 +393,7 @@ class TestCountsData:
             CountsData(np.zeros((0, 2, 2), dtype=np.int64))
 
     def test_negative(self):
-        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+        with pytest.raises(ValueError, match=f"^{WHOLE_COUNTS}, got -2.0$"):
             CountsData([[[1, 2], [3, 4]], [[1, -2], [3, 4]]])
 
     @pytest.mark.parametrize("party", ["alice", "bob"])

@@ -638,7 +638,9 @@ class TestViolationHistogram:
         # 3 counts for 5 bins gave a 3-entry density that the CSV writer cut
         # short silently; a negative count gave a negative density
         cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
-        with pytest.raises(ValueError, match=r"^bin_counts must be 5 whole counts in \[0, 2\*\*53\)$"):
+        message = (r"^bin_counts must be 5 whole counts in \[0, 2\*\*53\)$" if len(bin_counts) != 5
+                   else r"^bin_counts must be whole numbers in \[0, 2\*\*53\), got ")
+        with pytest.raises(ValueError, match=message):
             violation_histogram(cfg, bins=5, bin_counts=np.array(bin_counts))
 
     def test_takes_whole_float_bin_counts(self):

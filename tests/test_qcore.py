@@ -14,16 +14,30 @@ from steerkit.criteria import (
     critical_mu,
     db_bound,
     db_lhs,
+    db_steering,
     sweep,
 )
-from steerkit.entropy import eur_bound_tsallis, q_log, renyi_entropy, tsallis_entropy
-from steerkit.expio import MAX_BOOTSTRAP, evaluate_with_errors, synthesize_counts
+from steerkit.entropy import (
+    eur_bound_tsallis,
+    q_log,
+    renyi_entropy,
+    shannon_entropy,
+    tsallis_entropy,
+)
+from steerkit.expio import (
+    MAX_BOOTSTRAP,
+    CountsData,
+    counts_to_table,
+    evaluate_with_errors,
+    synthesize_counts,
+)
 from steerkit.montecarlo import (
     MAX_HIST_BINS,
     MAX_SAMPLES,
     MCConfig,
     histogram_edges,
     raised_bound_table,
+    violation_histogram,
     violation_probability,
 )
 from steerkit.qcore import (
@@ -113,6 +127,18 @@ class TestBlochProjector:
         with pytest.raises(ValueError):
             bloch_projector(Z, 0)
 
+    @pytest.mark.parametrize("outcome", [True, 1.0, 0.5, None, np.float64(-1.0)])
+    def test_outcome_must_be_an_integer(self, outcome):
+        # True, 1.0 and np.float64(-1.0) were taken as outcomes
+        with pytest.raises(ValueError) as info:
+            bloch_projector(Z, outcome)
+        assert str(info.value) == f"outcome must be an integer, got {outcome!r}"
+
+    def test_outcome_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="^outcome must be \\+1 or -1, got 0$"):
+            bloch_projector(Z, 0)
+        assert np.array_equal(bloch_projector(Z, np.int64(-1)), bloch_projector(Z, -1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_rejected(self, bad):
         # |v| - 1 is NaN here, and a NaN comparison must not read as "unit norm"
@@ -183,6 +209,14 @@ class TestJointTables:
         probs[cell] = np.nan
         with pytest.raises(ValueError):
             JointTable(probs)
+
+    def test_shapes(self):
+        with pytest.raises(ValueError, match=r"^joint table must be 2x2, got shape \(1, 2\)$"):
+            JointTable([[0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(2,\)$"):
+            joint_table_closed(0.9, [0.0, 1.0], Z)
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
+            joint_table_trace(np.eye(2) / 2.0, Z, Z)
 
     def test_correlation_property(self):
         table = joint_table_closed(0.8, Z, Z)
@@ -469,3 +503,115 @@ def test_a_bare_number_or_a_string_is_not_a_list(parameter, value):
     with pytest.raises(ValueError) as info:
         LIST_PARAMETERS[parameter](value)
     assert str(info.value) == f"{parameter} must be a list of numbers, got {value!r}"
+
+
+#: Each rule's message for a NaN entry after the name, up to its end.
+PROBABILITIES = " must be non-empty with entries in [0, 1], got "
+WHOLE_COUNTS = " must be whole numbers in [0, 2**53), got nan"
+UNIT_NORM = " must be unit norm, got |v| = nan"
+
+_DIRECTIONS = np.array([Z, X])
+_HIST_CONFIG = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
+
+#: Each public array parameter: its name in messages, an integer-valued array it
+#: accepts, a call that passes an array to it and nothing else out of the
+#: ordinary, and the message a NaN entry raises after the name.
+ARRAY_PARAMETERS = {
+    "JointTable": ("joint table", [[1, 0], [0, 0]], lambda v: JointTable(v), PROBABILITIES),
+    "shannon_entropy": ("distribution", [1, 0], lambda v: shannon_entropy(v), PROBABILITIES),
+    "tsallis_entropy": ("distribution", [1, 0], lambda v: tsallis_entropy(v, 2.0), PROBABILITIES),
+    "renyi_entropy": ("distribution", [1, 0], lambda v: renyi_entropy(v, 2.0), PROBABILITIES),
+    "CountsData counts": ("counts", [[[1, 2], [3, 4]]], lambda v: CountsData(v), WHOLE_COUNTS),
+    "CountsData alice": ("measurement direction", _DIRECTIONS,
+                         lambda v: CountsData(np.ones((2, 2, 2)), v, _DIRECTIONS), UNIT_NORM),
+    "CountsData bob": ("measurement direction", _DIRECTIONS,
+                       lambda v: CountsData(np.ones((2, 2, 2)), _DIRECTIONS, v), UNIT_NORM),
+    "counts_to_table": ("counts", [[1, 2], [3, 4]], lambda v: counts_to_table(v), WHOLE_COUNTS),
+    "violation_histogram bin_counts": (
+        "bin_counts", [1, 3], lambda v: violation_histogram(_HIST_CONFIG, 2, bin_counts=v),
+        WHOLE_COUNTS),
+    "Scenario alice": ("measurement direction", _DIRECTIONS, lambda v: Scenario(
+        0.9, mode="explicit", alice=v, bob=_DIRECTIONS), UNIT_NORM),
+    "Scenario bob": ("measurement direction", _DIRECTIONS, lambda v: Scenario(
+        0.9, mode="explicit", alice=_DIRECTIONS, bob=v), UNIT_NORM),
+    "db_lhs alice": ("measurement direction", _DIRECTIONS,
+                     lambda v: db_lhs(v, _DIRECTIONS, 0.9), UNIT_NORM),
+    "db_steering bob": ("measurement direction", _DIRECTIONS,
+                        lambda v: db_steering(_DIRECTIONS, v, 0.9), UNIT_NORM),
+    "joint_table_closed a_vec": ("measurement direction", Z,
+                                 lambda v: joint_table_closed(0.9, v, Z), UNIT_NORM),
+    "synthesize_counts alice": ("measurement direction", _DIRECTIONS,
+                                lambda v: synthesize_counts(0.9, v, _DIRECTIONS, 100), UNIT_NORM),
+    "joint_table_trace rho": ("density matrix", np.diag([1, 0, 0, 0]),
+                              lambda v: joint_table_trace(v, Z, Z), " is not Hermitian"),
+}
+
+
+def _with_entry(valid, entry, dtype=object):
+    """``valid`` as a ``dtype`` array with its first entry replaced by ``entry``."""
+    array = np.array(valid, dtype=dtype)
+    array.flat[0] = entry
+    return array
+
+
+class TestArrayRule:
+    def test_as_array(self):
+        assert qcore.as_array("x", [Fraction(1, 4), 10 ** 30]).tolist() == [0.25, 1e30]
+        assert qcore.as_array("x", np.float32([0.5])).dtype == np.float64
+        assert qcore.as_array("x", [1j, 2], complex).tolist() == [1j, 2]
+        for value in ("0.25", b"1", None, True, [0.5, None], [[0.5, "a"]], 1j):
+            with pytest.raises(ValueError, match="^x must be an array of real numbers, got dtype "):
+                qcore.as_array("x", value)
+        with pytest.raises(ValueError, match="^x has an entry past float range$"):
+            qcore.as_array("x", [0.5, 10 ** 400])
+
+    def test_as_probabilities_and_as_counts(self):
+        assert qcore.as_probabilities("p", [1.0 + 1e-13, -1e-13]).tolist() == [1.0, 0.0]
+        for value in ([], [0.5, math.nan], [1.5, -0.5], [math.inf, -math.inf]):
+            with pytest.raises(ValueError, match=f"^p{re.escape(PROBABILITIES)}"):
+                qcore.as_probabilities("p", value)
+        with pytest.raises(ValueError, match=r"^p entries sum to 1.000000000002, expected 1$"):
+            qcore.as_probabilities("p", [0.5, 0.500000000002])
+        counts = qcore.as_counts("n", [0, 2.0 ** 53 - 1, np.uint64(7)])
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 2 ** 53 - 1, 7]
+        for value, shown in ((-1, "-1.0"), (0.5, "0.5"), (2.0 ** 53, "9007199254740992.0"),
+                             (math.inf, "inf"), (10 ** 30, "1e+30")):
+            message = f"n must be whole numbers in [0, 2**53), got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                qcore.as_counts("n", [3, value])
+
+    @pytest.mark.parametrize("parameter", ARRAY_PARAMETERS)
+    @pytest.mark.parametrize("kind", ["string", "bool", "None", "bool entry", "complex"])
+    def test_non_numbers_raise_the_type_message(self, parameter, kind):
+        # "0.25" and True read as numbers in tables, directions and matrices; counts
+        # raised TypeError for strings, None and complex numbers
+        name, valid, call, _ = ARRAY_PARAMETERS[parameter]
+        bad = {"string": lambda: np.array(valid).astype(str),
+               "bool": lambda: np.array(valid).astype(bool),
+               "None": lambda: _with_entry(valid, None),
+               "bool entry": lambda: _with_entry(valid, True),
+               "complex": lambda: _with_entry(valid, 1j, complex)}[kind]()
+        if kind == "complex" and name == "density matrix":
+            return  # complex entries are the point of a density matrix
+        number = "complex" if name == "density matrix" else "real"
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        message = f"{name} must be an array of {number} numbers, got dtype {bad.dtype}"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("parameter", ARRAY_PARAMETERS)
+    def test_nan_raises_the_value_message(self, parameter):
+        # shannon_entropy([0.5, 0.5, nan]) returned ln 2 and tsallis_entropy([nan, 1], 2) NaN
+        name, valid, call, message = ARRAY_PARAMETERS[parameter]
+        dtype = complex if name == "density matrix" else float
+        with pytest.raises(ValueError) as info:
+            call(_with_entry(valid, math.nan, dtype))
+        assert str(info.value).startswith(name + message)
+
+    @pytest.mark.parametrize("parameter", ARRAY_PARAMETERS)
+    def test_float32_int64_and_fraction_entries_are_accepted(self, parameter):
+        _, valid, call, _ = ARRAY_PARAMETERS[parameter]
+        fractions = np.array([Fraction(x) for x in np.ravel(valid)], dtype=object)
+        for value in (np.array(valid, np.float32), np.array(valid, np.int64),
+                      fractions.reshape(np.shape(valid))):
+            call(value)
