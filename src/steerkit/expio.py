@@ -467,8 +467,8 @@ def evaluate_with_errors(
 
     Returns ``[(SteeringResult, ErrorBudget), ...]`` in the order given.
     ``bootstrap`` Poisson replicates feed the statistical error; the same
-    number of jittered-vector replicates feeds the systematic error (skipped
-    when ``jitter_deg`` is 0).  Deterministic for a given seed.
+    number of jittered-vector replicates feeds the systematic error (none
+    when ``jitter_deg`` or ``bootstrap`` is 0).  Deterministic for a given seed.
 
     Every input check runs before the first replicate: the point estimate
     goes through the same estimators, which reject a settings count they do
@@ -483,12 +483,13 @@ def evaluate_with_errors(
     jitter_deg = qcore.as_real("jitter in degrees", jitter_deg, 0.0, math.inf)
     criteria = list(criteria)
     dbs = [c for c in criteria if c.kind == "db"]
-    needs_fit = bool(dbs) or jitter_deg > 0.0
+    jitter = jitter_deg > 0.0 and bootstrap > 0  # as many jitter replicates as bootstrap ones
+    needs_fit = bool(dbs) or jitter
     raw, alice, bob = data.counts, data.alice, data.bob  # (m, 2, 2) counts
     totals = raw.sum(axis=(1, 2))
     observed = raw / totals[:, None, None]
     fit = fit_visibility(data) if needs_fit else None
-    overlaps = qcore.dot(alice, bob) if needs_fit else None
+    overlaps = qcore.dot(alice, bob) if dbs else None  # for db's fit error and replicate refits
     if dbs:
         _check_db_fit(dbs[0], fit, _fit_error(observed, totals, overlaps), observed[None], alice, bob)
     mu_fit = None if fit is None else min(max(fit, 0.0), 1.0)
@@ -504,7 +505,7 @@ def evaluate_with_errors(
         draws = rng.poisson(lam=means, size=(bootstrap,) + raw.shape)
         stat_errors = _spread(_replicate_values(draws, criteria, alice, bob, overlaps))
 
-    if jitter_deg > 0.0 and bootstrap > 0:
+    if jitter:
         sigma = math.radians(jitter_deg)
         sys_errors = _spread(_jitter_values(criteria, alice, bob, mu_fit, sigma, bootstrap, rng))
 

@@ -39,16 +39,27 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a list or tuple, nested or holding arrays, has a bool entry."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, np.ndarray) and value.dtype == bool)
+
+
 def as_array(name: str, value, dtype=float) -> np.ndarray:
     """``value`` as a ``dtype`` array; ValueError unless each entry passes :func:`as_real`'s type
     test (any number passes for a complex ``dtype``) and lies within float range."""
     array = np.asarray(value)
+    entries = array.dtype
+    if isinstance(value, (list, tuple)) and _holds_bool(value):
+        entries = np.dtype(bool)  # numpy reads [0.5, True] as floats
     kind = "complex" if np.dtype(dtype).kind == "c" else "real"
     number = numbers.Number if kind == "complex" else numbers.Real
-    if array.dtype.kind not in ("iufc" if kind == "complex" else "iuf") and not (
-            array.dtype == object  # such as Fractions, or ints past int64
+    if entries.kind not in ("iufc" if kind == "complex" else "iuf") and not (
+            entries == object  # such as Fractions, or ints past int64
             and all(isinstance(x, number) and not isinstance(x, bool) for x in array.flat)):
-        raise ValueError(f"{name} must be an array of {kind} numbers, got dtype {array.dtype}")
+        raise ValueError(f"{name} must be an array of {kind} numbers, got dtype {entries}")
     try:
         return array.astype(dtype, copy=False)
     except OverflowError:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -25,16 +26,25 @@ def write_nom_counts(path, m=2, total=10_000):
     return path
 
 
+CliResult = collections.namedtuple("CliResult", "returncode stdout stderr")
+
+
 def run_cli(*args, env_extra=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "steerkit", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """``cli.main(args)`` in this process, with ``env_extra`` set in the environment."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, value in (env_extra or {}).items():
+            monkeypatch.setenv(name, value)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(args))
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+def run_python_m_steerkit(*args, env_extra=None):
+    """``python -m steerkit ARGS`` in a fresh interpreter, for the tests whose property is
+    the process itself; every other test calls :func:`run_cli`."""
+    return subprocess.run([sys.executable, "-m", "steerkit", *args], capture_output=True,
+                          text=True, env=dict(os.environ, **(env_extra or {})))
 
 
 class TestSweepCommand:
@@ -201,8 +211,9 @@ class TestMcCommand:
             "mc", "--m", "2", "--class", "crm", "--mu-grid", "0.9:1.0:0.05",
             "--samples", "50000", "--seed", "3",
         )
-        first = run_cli(*args)
-        second = run_cli(*args)
+        # two interpreters: nothing carried over in the process, string hashing seeded apart
+        first = run_python_m_steerkit(*args, env_extra={"PYTHONHASHSEED": "1"})
+        second = run_python_m_steerkit(*args, env_extra={"PYTHONHASHSEED": "2"})
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
@@ -506,6 +517,18 @@ class TestAnalyzeCommand:
         result = run_cli("analyze", "--input", str(path), "--criteria", "shannon")
         assert result.returncode == 3
 
+    def test_jitter_without_replicates_needs_no_vectors(self, tmp_path, capsys):
+        # --bootstrap 0 runs no jitter replicate, yet the default --jitter asked for vectors
+        argv = ["analyze", "--input", str(bare_counts(tmp_path / "bare.csv")), "--criteria",
+                "shannon"]
+        assert cli.main(argv + ["--bootstrap", "0"]) == 0
+        [record] = json.loads(capsys.readouterr().out)
+        assert record["stat_err"] == record["sys_err"] == 0.0
+        assert cli.main(argv + ["--bootstrap", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "steerkit: systematic jitter and the determinant criterion need measurement vectors; "
+            "attach them to the counts file or the dataset\n")
+
     def test_attach_mode_supplies_vectors(self, tmp_path):
         alice, bob = qcore.nom_settings(2)
         data = synthesize_counts(0.963, alice, bob, 1_000_000)
@@ -688,7 +711,7 @@ def test_oversized_counts_field_is_data_error(tmp_path, capsys):
         "steerkit: line 2: field larger than field limit (131072)\n")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(content=counts_files(), jitter=st.sampled_from(("0", "0.1")))
 def test_fuzzed_counts_files_exit_0_2_or_3(content, jitter):
     # a field over 131,072 characters ended in a csv.Error traceback
@@ -730,10 +753,17 @@ class TestBoundCommand:
 
 
 class TestCliInfrastructure:
-    def test_version(self):
-        result = run_cli("--version")
+    def test_version(self, tmp_path):
+        # the exit codes reach the shell through __main__'s sys.exit(main())
+        result = run_python_m_steerkit("--version")
         assert result.returncode == 0
         assert result.stdout.startswith("steerkit ")
+        assert run_python_m_steerkit("sweep", "--m", "2").returncode == 2
+        path = tmp_path / "bad.csv"
+        path.write_text("setting,a,b,counts\n1,+1,+1,10\n1,+1,-1,x\n")
+        result = run_python_m_steerkit("analyze", "--input", str(path), "--criteria", "shannon")
+        assert result.returncode == 3
+        assert result.stdout == ""
 
     def test_config_file_supplies_flags(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -817,10 +847,11 @@ class TestParserReuse:
         assert len(built) == 1
         assert build() is not build()  # build_parser itself stays a plain constructor
 
-    def test_interleaved_calls_match_first_calls(self, tmp_path, capsys):
+    def test_interleaved_calls_match_first_calls(self, tmp_path, capsys, monkeypatch):
         argvs = one_of_each(write_nom_counts(tmp_path / "counts.csv"))
         first = {}
-        for name, argv in argvs.items():  # each one the first call of a fresh process
+        for name, argv in argvs.items():  # each one on a new parser, as a process's first call
+            monkeypatch.setattr(cli, "_PARSER", None)
             result = run_cli(*argv)
             assert result.returncode == 0
             first[name] = result.stdout
@@ -953,7 +984,7 @@ def test_fuzzed_argv_exit_cleanly_and_leave_no_state(tmp_path, capsys, monkeypat
         assert cli.main(argv) == 0
         before[name] = capsys.readouterr().out
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fuzzed_argv())
     def fuzz(argv):
         argv = [substitutes.get(token, token) for token in argv]
@@ -1007,7 +1038,7 @@ def numeric_argv(draw):
             "--seed", draw(numeric("0", "3"))]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(argv=numeric_argv())
 def test_numeric_flags_exit_0_2_or_3(argv):
     # bound --m 10**400 raised OverflowError, and analyze --mode mub --alpha inf

@@ -176,7 +176,7 @@ def criterion_args(draw):
     return kind, orders
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     args=criterion_args(),
     mu=st.floats(0.0, 1.0),
@@ -217,7 +217,7 @@ def valid_scenarios(draw):
     return Scenario(mu=mu, m=m, mode="explicit", alice=vectors[:m], bob=vectors[m:])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(scenario=valid_scenarios(), args=criterion_args())
 def test_evaluate_rejected_or_finite(scenario, args):
     kind, orders = args
@@ -663,7 +663,7 @@ def sweep_args(draw):
     )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(args=sweep_args())
 def test_sweep_equals_one_evaluate_per_point(args):
     rows = sweep(*args[:5], mode=args[5])
@@ -671,7 +671,7 @@ def test_sweep_equals_one_evaluate_per_point(args):
     assert all(type(row.steerable) is bool for row in rows)  # json.dumps rejects np.bool_
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(args=sweep_args())
 def test_sweep_equals_the_closed_form(args):
     mu, _, phi, m, criteria, mode = args
@@ -720,7 +720,7 @@ def test_non_finite_entries_start_steerable():
         assert results and all(result.steerable for result in results)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(entry=st.sampled_from(sorted(NON_FINITE_ENTRIES)), data=st.data())
 def test_non_finite_input_is_never_steerable(entry, data):
     values, call = NON_FINITE_ENTRIES[entry]
@@ -802,7 +802,7 @@ PAST_FLOAT_ACCEPTED = {
 
 
 @pytest.mark.parametrize("entry", sorted(PAST_FLOAT_ENTRIES))
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(magnitude=st.integers(2 ** 1024, 10 ** 400), sign=st.sampled_from((1, -1)))
 def test_ints_past_float_range_raise_value_error(entry, magnitude, sign):
     # each raised OverflowError: int too large to convert to float

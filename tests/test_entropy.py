@@ -234,14 +234,14 @@ def table_batches(draw):
 class TestArrayForms:
     """Each array term equals the scalar arithmetic on every table, to the bit."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(probs=table_batches(), q=st.sampled_from((1.0, 1.5, 2.0, 2.5, 3.0, 7.0)))
     def test_tsallis_term_equals_scalar_loop(self, probs, q):
         expected = [reference_tsallis_term(table, q) for table in probs]
         assert conditional_tsallis(probs, q).tolist() == expected
         assert [tsallis_directed_term(JointTable(table), q) for table in probs] == expected
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(probs=table_batches(), r=st.sampled_from((0.5, 0.75, 1.0, 1.5, 3.0, math.inf)))
     def test_arimoto_term_equals_scalar_loop(self, probs, r):
         expected = [reference_arimoto(table, r) for table in probs]

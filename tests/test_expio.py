@@ -282,7 +282,7 @@ def datasets(draw):
     return CountsData(counts, *vecs)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(data=datasets())
 def test_write_then_load_round_trips(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("round") / "counts.csv"
@@ -507,6 +507,17 @@ class TestEvaluateWithErrors:
         # without jitter and without db, vectors are unnecessary
         out = evaluate_with_errors(data, [TSALLIS2], bootstrap=10, jitter_deg=0.0)
         assert len(out) == 1
+
+    def test_entropic_replicates_do_not_read_the_refit(self):
+        # entropic-only runs passed the overlaps and refitted every replicate for nothing
+        alice, bob = qcore.nom_settings(2)
+        data = synthesize_counts(0.9, alice, bob, 1000)
+        draws = np.random.default_rng(1).poisson(data.counts, size=(300,) + data.counts.shape)
+        entropic = [SHANNON, TSALLIS2, RENYI]
+        refitted = expio._replicate_values(draws, entropic, data.alice, data.bob,
+                                           qcore.dot(data.alice, data.bob))
+        plain = expio._replicate_values(draws, entropic, data.alice, data.bob, None)
+        assert np.array_equal(refitted, plain)
 
     def test_db_needs_vectors(self):
         data = CountsData(np.full((2, 2, 2), 50))
@@ -854,7 +865,7 @@ def replicate_draws(draw):
 class TestBatchedBootstrap:
     """The batched bootstrap equals the loop over replicates to the bit."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(draws=replicate_draws(), alpha=st.floats(0.0, 90.0), phi=st.floats(0.0, 90.0))
     def test_values_and_kept_replicates_equal_the_loop(self, draws, alpha, phi):
         m = draws.shape[1]
@@ -905,7 +916,7 @@ def random_directions(seed, m):
 class TestBatchedJitter:
     """The batched jitter equals the loop over replicates to the bit."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         m=st.sampled_from((2, 3)),
         explicit=st.booleans(),
@@ -1063,7 +1074,7 @@ BAD_COUNTS = st.integers(-3, -1) | st.sampled_from((2.5, True, math.nan, 1e3, No
 BAD_SEEDS = st.integers(-3, -1) | st.sampled_from((1.5, True, math.nan))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     m=mostly(st.integers(2, 3), st.sampled_from((1, 4))),
     data=st.data(),
@@ -1128,7 +1139,7 @@ def separable_probs(weights, alice_states, bob_states, alice, bob):
     return np.clip(np.einsum("l,lka,lkb->kab", weights, p_a, p_b), 0.0, None)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     m=st.sampled_from((2, 3)),
     weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),

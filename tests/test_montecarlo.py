@@ -340,7 +340,7 @@ class TestThresholdCounting:
         error = abs(Fraction(montecarlo._threshold(m, mu, factor)) - exact)
         assert error <= Fraction(math.ulp(float(exact)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         m=st.sampled_from([2, 3]),
         mus=st.lists(
@@ -714,7 +714,7 @@ SAMPLE_COUNTS = (
 class TestEntryPointProperties:
     """Each entry point raises ValueError or gives finite probabilities in [0, 1]."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         row=st.sampled_from(montecarlo.RAISED_BOUND_ROWS + ((2, "haar"),)),
         mu_grid=st.lists(floats_or(0.0, 1.0), min_size=1, max_size=3),
@@ -729,7 +729,7 @@ class TestEntryPointProperties:
             return
         assert_probabilities(violation_probability(cfg, n_workers=2))
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         row=st.sampled_from(montecarlo.RAISED_BOUND_ROWS),
         mu_grid=st.lists(floats_or(0.9, 1.0), min_size=1, max_size=2),
@@ -748,7 +748,7 @@ class TestEntryPointProperties:
         assert_probabilities(estimates)
         assert bin_counts.min() >= 0 and bin_counts.sum() <= n_samples
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(
         factors=st.lists(floats_or(0.1, 3.0), max_size=3),
         mu=floats_or(0.0, 1.0),

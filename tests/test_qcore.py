@@ -559,9 +559,16 @@ class TestArrayRule:
         assert qcore.as_array("x", [Fraction(1, 4), 10 ** 30]).tolist() == [0.25, 1e30]
         assert qcore.as_array("x", np.float32([0.5])).dtype == np.float64
         assert qcore.as_array("x", [1j, 2], complex).tolist() == [1j, 2]
-        for value in ("0.25", b"1", None, True, [0.5, None], [[0.5, "a"]], 1j):
+        # numpy read a bool among floats as a float: [0.5, True] passed as [0.5, 1.0]
+        for value in ("0.25", b"1", None, True, [0.5, None], [[0.5, "a"]], 1j, [0.5, True],
+                      [[0.0, True], [0.0, 0.0]], [np.array([True, False]), [0.5, 0.5]],
+                      (0.5, np.True_)):
             with pytest.raises(ValueError, match="^x must be an array of real numbers, got dtype "):
                 qcore.as_array("x", value)
+        with pytest.raises(ValueError, match="^joint table must be an array of real numbers"):
+            JointTable([[0.0, True], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^measurement direction must be an array of real"):
+            qcore.as_unit_vector([0.0, 0.0, True])
         with pytest.raises(ValueError, match="^x has an entry past float range$"):
             qcore.as_array("x", [0.5, 10 ** 400])
 
