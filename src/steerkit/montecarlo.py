@@ -39,7 +39,7 @@ isotropic, 3   2      s_A u_A s_B u_B
 =============  =====  ==============================
 
 Words are the 64-bit Philox words a sample draws.  Each word gives two
-uniforms (:func:`_chunk_uniforms` has the layout), so a sample takes k
+uniforms (:func:`_chunk_words` has the layout), so a sample takes k
 uniforms, twice its words; row r of a chunk of n samples, the r-th scalar of
 every sample, is uniforms [r n, (r + 1) n).
 
@@ -55,11 +55,20 @@ Counting
 --------
 
 A sample violates a (mu, bound factor) cell when its geometric factor exceeds
-the cell's threshold.  A run with one cell counts each chunk in one
-comparison pass; the dihedral scheme compares the drawn angle with the
-threshold's arccosine instead of taking the cosine of every sample.  Grids of
+the cell's threshold t.  A run with one cell and no histogram counts the two
+pair schemes whose factor is one uniform u_j = (j + 1/2) 2^-32 on the raw
+words, with no float uniforms and no cosines.  For haar pairs u_j > t exactly
+when the half j is at least an integer cutoff J(t).  For dihedral pairs
+np.cos(u_j pi/2) > t exactly when j is below a cutoff K(t): outside a band of
+1e-7 rad around acos t the order of the cosine decides, and the run evaluates
+np.cos once at each of the ~550 halves inside the band (a true decision past
+the first false one would be counted in one more pass).  Each chunk then
+compares both halves of every word with the cutoff in one pass over the
+words' 32-bit view, and an odd count takes back its unused last high half.
+Other single cells count their geometry in one comparison pass.  Grids of
 several cells sort each chunk once and count every threshold by binary
-search.  Both give the counts of a sample-by-sample comparison exactly.
+search.  All give the counts of a sample-by-sample comparison of the float
+geometry exactly.
 
 Determinism
 -----------
@@ -190,23 +199,35 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 _WORDS_PER_DRAW = CHUNK_SIZE // 2
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    """``count`` uniforms of one chunk, two from each 64-bit Philox word.
+def _chunk_words(seed: int, chunk_index: int, count: int):
+    """The raw 64-bit Philox words behind ``count`` uniforms of one chunk.
 
-    The chunk's generator draws W = ceil(count / 2) raw words w_0, w_1, ...
-    (``integers`` over the full 64-bit range returns each word as drawn).
-    Uniform i is (j + 1/2) 2^-32, where j is the low 32-bit half of w_i for
-    i < W and the high half of w_(i - W) after that; an odd count leaves the
-    last high half unused.  Every uniform lies strictly inside (0, 1), on the
-    midpoints of the 2^-32 grid.  Shifts and masks, not a 32-bit view, split
-    the words, so the layout does not depend on byte order.
+    The chunk's generator draws W = ceil(count / 2) words w_0, w_1, ... in
+    blocks of at most :data:`_WORDS_PER_DRAW` (``integers`` over the full
+    64-bit range returns each word as drawn), yielded as ``(start, words)``
+    with ``start`` the index of the block's first word.  Uniform i takes its
+    32-bit half j from the low half of w_i for i < W and from the high half
+    of w_(i - W) after that, so only the first floor(count / 2) high halves
+    are used: an odd count leaves the last one unused.
     """
     n_words = (count + 1) // 2
     rng = chunk_rng(seed, chunk_index)
-    uniforms = np.empty(2 * n_words)
     for start in range(0, n_words, _WORDS_PER_DRAW):
-        stop = min(start + _WORDS_PER_DRAW, n_words)
-        words = rng.integers(0, 1 << 64, stop - start, dtype=np.uint64)
+        size = min(_WORDS_PER_DRAW, n_words - start)
+        yield start, rng.integers(0, 1 << 64, size, dtype=np.uint64)
+
+
+def _chunk_uniforms(seed: int, chunk_index: int, count: int) -> np.ndarray:
+    """``count`` uniforms of one chunk: (j + 1/2) 2^-32 for the halves j of :func:`_chunk_words`.
+
+    Every uniform lies strictly inside (0, 1), on the midpoints of the 2^-32
+    grid.  Shifts and masks, not a 32-bit view, split the words, so the
+    layout does not depend on byte order.
+    """
+    n_words = (count + 1) // 2
+    uniforms = np.empty(2 * n_words)
+    for start, words in _chunk_words(seed, chunk_index, count):
+        stop = start + len(words)
         np.bitwise_and(words, 0xFFFFFFFF, out=uniforms[start:stop], casting="unsafe")
         np.right_shift(words, 32, out=uniforms[n_words + start:n_words + stop], casting="unsafe")
     uniforms += 0.5
@@ -246,33 +267,76 @@ def _chunk_geometry(scheme: str, m: int, seed: int, chunk_index: int, n: int) ->
     return geom
 
 
+def _lattice_cutoff(x: float) -> int:
+    """How many uniforms u_j = (j + 1/2) 2^-32, j < 2^32, are at most x.
+
+    So u_j > x exactly when j is at least the result.
+    """
+    # x 2^32 is exact, and so is taking 1/2 from it where it is at least 1/2;
+    # below that the floor is -1 either way
+    return math.floor(min(max(x, 0.0), 1.0) * 2.0 ** 32 - 0.5) + 1
+
+
 #: Half-width, in radians, of the band around acos(t) in which the dihedral
-#: count evaluates np.cos.  Outside the band the true cosine differs from t
+#: cutoff evaluates np.cos.  Outside the band the true cosine differs from t
 #: by at least 1 - cos(1e-7) = 5e-15 (cos is concave on [0, pi/2], so a
 #: step of 1e-7 changes it least when the step starts at 0), far beyond the
-#: few ulp of error in np.cos, in acos and in scaling the band to u; so
-#: comparing u with the band's ends decides every sample as
-#: np.cos(u pi/2) > t would.
+#: few ulp of error in np.cos, in acos and in scaling the band to u; so the
+#: band's ends decide every uniform outside it as np.cos(u pi/2) > t would.
 _DIHEDRAL_BAND = 1e-7
 
 
-def _dihedral_counts(u: np.ndarray, thresholds) -> np.ndarray:
-    """Per threshold t, the samples with np.cos(u * (pi/2)) > t, counted on u.
+def _dihedral_band(t: float):
+    """``(start, decisions)``: np.cos(u_j pi/2) > t at each half j of a band, j = start, ....
 
-    cos(u pi/2) > t holds for u below acos(t) / (pi/2); samples within
-    :data:`_DIHEDRAL_BAND` of that edge are decided by the cosine itself.
+    Every j below the band has u_j below its lower end, and so a cosine above
+    t; every j past it has u_j above its upper end.  The band holds about 550
+    halves, fewer where it passes an end of [0, 1].
     """
-    counts = np.empty(len(thresholds), dtype=np.intp)
-    for i, t in enumerate(thresholds):
-        edge = math.acos(min(max(t, -1.0), 1.0))
-        lo = (edge - _DIHEDRAL_BAND) / (np.pi / 2.0)
-        hi = (edge + _DIHEDRAL_BAND) / (np.pi / 2.0)
-        count = np.count_nonzero(u < lo)
-        if np.count_nonzero(u <= hi) > count:
-            near = u[(u >= lo) & (u <= hi)]
-            count += np.count_nonzero(np.cos(near * (np.pi / 2.0)) > t)
-        counts[i] = count
-    return counts
+    edge = math.acos(min(max(t, -1.0), 1.0))
+    start = max(_lattice_cutoff((edge - _DIHEDRAL_BAND) / (np.pi / 2.0)) - 1, 0)
+    stop = _lattice_cutoff((edge + _DIHEDRAL_BAND) / (np.pi / 2.0))
+    uniforms = (np.arange(start, stop) + 0.5) * 2.0 ** -32
+    return start, np.cos(uniforms * (np.pi / 2.0)) > t
+
+
+def _word_rule(scheme: str, t: float) -> tuple:
+    """``(cutoff, extra)`` of a single pair cell with threshold t, for :func:`_word_count`.
+
+    haar: u_j > t exactly for the halves j at least the cutoff.  dihedral:
+    np.cos(u_j pi/2) > t exactly for j below the cutoff and for j in
+    ``extra``.  The cutoff ends the run of true decisions that starts below
+    the band (:func:`_dihedral_band`); ``extra`` holds any true decision past
+    it, and is empty where the band's decisions are a prefix, as the order of
+    the cosine makes them.
+    """
+    if scheme == "haar":
+        return _lattice_cutoff(t), ()
+    start, decisions = _dihedral_band(t)
+    prefix = len(decisions) if decisions.all() else int(np.argmin(decisions))
+    extra = start + prefix + np.flatnonzero(decisions[prefix:])
+    return start + prefix, extra.astype(np.uint32)
+
+
+def _word_count(scheme: str, seed: int, chunk_index: int, count: int, cutoff: int, extra) -> int:
+    """Samples of one chunk that violate a :func:`_word_rule` cell, counted on the raw words.
+
+    No uniforms are built: one pass compares the 32-bit view of the words,
+    which holds both halves of every word in either byte order, with the
+    cutoff, and an odd count then takes back its unused last high half
+    (:func:`_chunk_words`).  A non-empty ``extra`` takes one more pass.
+    """
+    at_least = in_extra = 0
+    for _, words in _chunk_words(seed, chunk_index, count):
+        halves = words.view(np.uint32)
+        at_least += np.count_nonzero(halves >= cutoff)
+        if len(extra):
+            in_extra += np.count_nonzero(np.isin(halves, extra))
+    if count % 2:
+        unused = int(words[-1]) >> 32
+        at_least -= unused >= cutoff
+        in_extra -= unused in extra
+    return at_least if scheme == "haar" else count - at_least + in_extra
 
 
 def _chunk_plan(n_samples: int):
@@ -325,15 +389,17 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     """One :class:`MCEstimate` per (mu, bound factor) cell, all from one sample set.
 
     A sample violates a cell when its geometry exceeds factor * T_m / mu^m
-    (never where mu^m is 0, also when it underflows).  With one cell each
-    chunk is counted in one comparison pass, the dihedral scheme on its drawn
-    angle without the cosine (:func:`_dihedral_counts`); with more cells each
-    chunk sorts its geometry once and counts every threshold by binary
-    search.  With ``hist_edges`` (single-mu grid) the chunk's geometry also
-    gives the violation amount mu^m * geometry - factor * T_m, binned over the
-    violating samples.  Each chunk returns one integer vector, its cell
-    counts followed by its bin counts, and :func:`_map_chunks` sums the
-    vectors in chunk order through its bounded window.
+    (never where mu^m is 0, also when it underflows).  With one cell and no
+    histogram, the pair schemes whose geometry is one uniform (haar and
+    dihedral) count each chunk's raw words against the cell's cutoff half
+    (:func:`_word_count`); other single cells count the geometry in one
+    comparison pass; with more cells each chunk sorts its geometry once and
+    counts every threshold by binary search.  With ``hist_edges`` (single-mu
+    grid) the chunk's geometry also gives the violation amount
+    mu^m * geometry - factor * T_m, binned over the violating samples.  Each
+    chunk returns one integer vector, its cell counts followed by its bin
+    counts, and :func:`_map_chunks` sums the vectors in chunk order through
+    its bounded window.
 
     Returns ``(estimates, bin_counts)``; ``bin_counts`` is empty without edges.
     """
@@ -342,12 +408,13 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     thresholds = np.array([_threshold(m, mu, factor) for mu, factor in cells])
 
     single = len(cells) == 1
-    angle_count = single and hist_edges is None and cfg.scheme == "dihedral"
+    on_words = single and hist_edges is None and m == 2 and cfg.scheme in ("haar", "dihedral")
+    rule = _word_rule(cfg.scheme, float(thresholds[0])) if on_words else None
 
     def task(chunk_index, size):
-        if angle_count:
-            # the uniforms _chunk_geometry draws for dihedral, before the cosine
-            return _dihedral_counts(_chunk_uniforms(cfg.seed, chunk_index, size), thresholds)
+        if on_words:
+            count = _word_count(cfg.scheme, cfg.seed, chunk_index, size, *rule)
+            return np.array([count], dtype=np.intp)
         geom = _chunk_geometry(cfg.scheme, m, cfg.seed, chunk_index, size)
         if single:
             counts = np.array([np.count_nonzero(geom > thresholds[0])], dtype=np.intp)

@@ -42,6 +42,8 @@ def test_traced_runs_return_the_untraced_estimates(monkeypatch):
     n_samples = 20 * montecarlo.CHUNK_SIZE + 7
     grid = montecarlo.MCConfig(2, "isotropic", (0.8, 0.9, 1.0), n_samples, seed=5)
     point = montecarlo.MCConfig(2, "dihedral", (0.95,), n_samples, seed=6)
+    haar = montecarlo.MCConfig(2, "haar", (0.9,), n_samples, seed=7)
+    expected_haar = montecarlo.violation_probability(haar, n_workers=2)
     expected_grid = montecarlo.violation_probability(grid, n_workers=2)
     expected_point, expected_bins = montecarlo.violation_probability(point, n_workers=2, hist_bins=10)
     tracer = load_tracing().Tracer()
@@ -52,12 +54,16 @@ def test_traced_runs_return_the_untraced_estimates(monkeypatch):
             traced_point, traced_bins = montecarlo.violation_probability(
                 point, n_workers=2, hist_bins=10
             )
+        with tracer.job():  # a single haar pair cell, counted on the raw words
+            traced_haar = montecarlo.violation_probability(haar, n_workers=2)
     finally:
         tracer.uninstall()
     assert traced_grid == expected_grid
     assert traced_point == expected_point
     assert traced_bins.tolist() == expected_bins.tolist()
     assert tracer.jobs[0]["count:montecarlo.count_task"] == 2 * 21
+    assert traced_haar == expected_haar
+    assert tracer.jobs[1]["count:montecarlo.count_task"] == 21
 
 
 def test_traced_analyze_writes_the_untraced_bytes(tmp_path):

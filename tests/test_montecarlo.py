@@ -375,29 +375,182 @@ class TestThresholdCounting:
         assert [est.p_violation for est in estimates] == list(expected / n_samples)
 
 
-#: Drawn angles at and near the ends of [0, 1): u = 6.4e-8 lies just past
-#: the band around acos(1) = 0, which ends at u = 1e-7 / (pi/2).
+TOP_HALF = 2 ** 32 - 1
+
+
+def layout_words(halves, unused):
+    """Words whose chunk of len(halves) samples has the 32-bit halves ``halves`` in uniform order.
+
+    The layout of ``_chunk_words``: the first ceil(n / 2) halves are the low
+    halves, the rest the high ones; an odd n leaves one high half, ``unused``.
+    """
+    halves = np.asarray(halves, dtype=np.uint64)
+    n_words = (len(halves) + 1) // 2
+    high = np.append(halves[n_words:], [unused] * (len(halves) % 2)).astype(np.uint64)
+    return halves[:n_words] | (high << np.uint64(32))
+
+
+def patch_words(monkeypatch, words):
+    """Make every chunk draw ``words`` from its first word on; each draw is a new array."""
+
+    class FixedWords:
+        def __init__(self, seed, chunk_index):
+            self._next = 0
+
+        def integers(self, low, high, size, dtype):
+            assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+            block = np.array(words[self._next:self._next + size], dtype=dtype)
+            self._next += size
+            return block
+
+    monkeypatch.setattr(montecarlo, "chunk_rng", FixedWords)
+
+
+def word_count(scheme, count, t):
+    """Chunk 0's violating samples of a single pair cell with threshold t, counted on the words."""
+    return montecarlo._word_count(scheme, 0, 0, count, *montecarlo._word_rule(scheme, t))
+
+
+def float_decision(scheme, uniforms, t):
+    """The float path's decision: u > t (haar pairs) or np.cos(u pi/2) > t (dihedral)."""
+    return (np.cos(uniforms * (np.pi / 2.0)) if scheme == "dihedral" else uniforms) > t
+
+
+def lattice(halves):
+    return (np.asarray(halves, dtype=float) + 0.5) * 2.0 ** -32
+
+
+#: Drawn angles at and near the ends of [0, 1).  The word count sees only the
+#: lattice u_j = (j + 1/2) 2^-32, so each stands for the lattice point nearest
+#: it: j = 0 (u = 2^-33) for 0, 5e-324 and 1e-17; j = 274 for 6.4e-8, two
+#: halves past the band around acos(1) = 0, which ends at u = 1e-7 / (pi/2)
+#: (j = 272.9); and j = 2^32 - 1 (u = 1 - 2^-33) for the largest double below 1.
 SPECIAL_U = (0.0, 5e-324, 1e-17, 6.4e-8, float(np.nextafter(1.0, 0.0)))
 
 
+def nearest_half(u):
+    return min(max(round(u * 2.0 ** 32 - 0.5), 0), TOP_HALF)
+
+
 class TestDihedralAngleCount:
-    """The single-cell dihedral count on the drawn u against np.cos(u pi/2) > t, sample by sample."""
+    """The single-cell dihedral count on the raw words against np.cos(u pi/2) > t, sample by sample."""
 
     @pytest.mark.parametrize("size", [1, 17, CHUNK_SIZE])
     @pytest.mark.parametrize("special", (None,) + SPECIAL_U)
-    def test_matches_cosine_comparison(self, size, special):
-        u = chunk_rng(9, size).random(size)
+    def test_matches_cosine_comparison(self, monkeypatch, size, special):
+        halves = chunk_rng(9, size).integers(0, 2 ** 32, size)
         if special is not None:
-            u[0] = special
+            halves[0] = nearest_half(special)
+        patch_words(monkeypatch, layout_words(halves, unused=0))
+        u = montecarlo._chunk_uniforms(0, 0, size)
+        assert np.array_equal(u, lattice(halves))
         cosines = np.cos(u * (np.pi / 2.0))
         picked = cosines[np.random.default_rng(size).integers(0, size, 200)]
-        on = np.concatenate([picked, np.cos(np.array(SPECIAL_U) * (np.pi / 2.0))])
+        specials = lattice([nearest_half(u) for u in SPECIAL_U])
+        on = np.concatenate([picked, np.cos(specials * (np.pi / 2.0))])
         thresholds = np.concatenate([
             on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
             [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 1e-10, np.inf],
         ])
         expected = [np.count_nonzero(cosines > t) for t in thresholds]
-        assert montecarlo._dihedral_counts(u, thresholds).tolist() == expected
+        assert [word_count("dihedral", size, float(t)) for t in thresholds] == expected
+
+
+class TestWordCount:
+    """Single haar and dihedral pair cells, counted on the raw words, against the float path."""
+
+    @pytest.mark.parametrize("count", [1, 2, 17, CHUNK_SIZE + 3])
+    @pytest.mark.parametrize("scheme", ["haar", "dihedral"])
+    def test_matches_the_float_decision_at_every_edge(self, monkeypatch, scheme, count):
+        edges = [0, 1, 2, 274, 2 ** 31, TOP_HALF - 1, TOP_HALF]
+        cosines = np.cos(lattice(edges) * (np.pi / 2.0))
+        on = np.concatenate([lattice(edges), cosines, [0.25, 0.5, 0.9]])
+        thresholds = np.concatenate([
+            on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+            [0.0, 5e-324, 1.0 - 1e-10, np.nextafter(1.0, 0.0), 1.0, np.inf],
+        ])
+        for i, t in enumerate(thresholds):
+            t = float(t)
+            cutoff = montecarlo._word_rule(scheme, t)[0]
+            start, decisions = montecarlo._dihedral_band(t)
+            stop = start + len(decisions)
+            pool = edges + [cutoff - 1, cutoff, cutoff + 1, start - 1, start, stop - 1, stop]
+            pool = np.roll(np.clip(pool, 0, TOP_HALF), i)
+            # the unused high half of an odd count violates the cell where any half does
+            unused = 0 if scheme == "dihedral" else TOP_HALF
+            patch_words(monkeypatch, layout_words(np.resize(pool, count), unused))
+            u = montecarlo._chunk_uniforms(0, 0, count)
+            assert word_count(scheme, count, t) == np.count_nonzero(float_decision(scheme, u, t)), t
+
+    @pytest.mark.parametrize(
+        "pattern", ["", "1", "0", "111000", "0101", "001", "11011", "1110111", "0000001"]
+    )
+    def test_a_band_that_is_not_a_prefix_still_counts_exactly(self, monkeypatch, pattern):
+        # decisions injected into the band; every half below it violates, none past it
+        decisions = np.array([c == "1" for c in pattern], dtype=bool)
+        start = 1000
+        monkeypatch.setattr(montecarlo, "_dihedral_band", lambda t: (start, decisions.copy()))
+        true_halves = start + np.flatnonzero(decisions)
+
+        def violating(c, size):
+            j = (montecarlo._chunk_uniforms(0, c, size) * 2.0 ** 32 - 0.5).astype(np.int64)
+            return np.count_nonzero((j < start) | np.isin(j, true_halves))
+
+        halves = np.arange(start - 3, start + len(decisions) + 3)
+        # an odd count's unused high half is the last true decision, an extra past a non-prefix
+        unused = true_halves[-1] if len(true_halves) else start
+        for count in (1, 2, 17, CHUNK_SIZE + 3):
+            patch_words(monkeypatch, layout_words(np.resize(halves, count), unused))
+            assert word_count("dihedral", count, 0.5) == violating(0, count)
+        n_samples = CHUNK_SIZE + 3
+        expected = sum(violating(c, size) for c, size in montecarlo._chunk_plan(n_samples))
+        cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(0.9,), n_samples=n_samples)
+        assert violation_probability(cfg)[0].p_violation == expected / n_samples
+
+    @pytest.mark.parametrize("n_samples", [1, 17, CHUNK_SIZE + 3, 3 * CHUNK_SIZE + 1])
+    @pytest.mark.parametrize("factor", [1.0, 1.2, 5e-324])
+    @pytest.mark.parametrize("scheme", ["haar", "dihedral"])
+    def test_single_cells_match_the_cells_of_a_sorted_grid(
+        self, monkeypatch, scheme, factor, n_samples
+    ):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        mus = (0.75, 0.8, 0.9, 1.0)  # mu = 0.75 with factor 1.2 puts the threshold above 1
+        for seed in (0, 11, 2 ** 64 - 1):
+            grid = violation_probability(MCConfig(2, scheme, mus, n_samples, factor, seed))
+            for workers in (1, 2):
+                singles = [
+                    violation_probability(MCConfig(2, scheme, (mu,), n_samples, factor, seed),
+                                          workers)[0]
+                    for mu in mus
+                ]
+                assert singles == grid
+
+    @pytest.mark.parametrize("scheme", ["haar", "dihedral"])
+    def test_single_pair_cells_build_no_uniforms(self, monkeypatch, scheme):
+        cfg = MCConfig(m=2, scheme=scheme, mu_grid=(0.9,), n_samples=2 * CHUNK_SIZE + 17, seed=3)
+        expected = violation_probability(cfg)
+        drawn = {}
+        real_rng = montecarlo.chunk_rng
+
+        class RecordingGenerator:
+            def __init__(self, seed, chunk_index):
+                self._rng = real_rng(seed, chunk_index)
+                self._chunk = chunk_index
+
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+                drawn[self._chunk] = drawn.get(self._chunk, 0) + size
+                return self._rng.integers(low, high, size, dtype)
+
+        def refuse(*args):
+            raise AssertionError("a single pair cell went through the float path")
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", RecordingGenerator)
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", refuse)
+        monkeypatch.setattr(montecarlo, "_chunk_geometry", refuse)
+        assert violation_probability(cfg) == expected
+        plan = montecarlo._chunk_plan(cfg.n_samples)
+        assert drawn == {c: math.ceil(size / 2) for c, size in plan}
 
 
 class TestWorkers:
