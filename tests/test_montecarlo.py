@@ -183,23 +183,22 @@ class TestSamplers:
     )
     def test_draws_per_sample(self, monkeypatch, scheme, m, uniforms):
         # two uniforms per 64-bit word: 0.5, 0.5, 0, 1.5 and 2 words per sample,
-        # rounded up for the chunk (n is odd)
-        drawn = []
-        real_rng = montecarlo.chunk_rng
-
-        class RecordingGenerator:
-            def __init__(self, seed, chunk_index):
-                self._rng = real_rng(seed, chunk_index)
-
-            def integers(self, low, high, size, dtype):
-                assert (low, high, dtype) == (0, 1 << 64, np.uint64)
-                drawn.append(np.prod(size))
-                return self._rng.integers(low, high, size, dtype)
-
-        monkeypatch.setattr(montecarlo, "chunk_rng", RecordingGenerator)
+        # rounded up for the chunk (n is odd); an isotropic chunk with floor 0
+        # keeps every sample, so it draws as many words as version 3 did
+        drawn = record_draws(monkeypatch)
         n = 1001
-        assert _chunk_geometry(scheme, m, 1, 0, n).shape == (n,)
+        assert _chunk_geometry(scheme, m, 1, 0, n, 0.0).shape == (n,)
         assert sum(drawn) == math.ceil(uniforms * n / 2)
+        if scheme != "isotropic":
+            return
+        # at floor T_m, stage 2 draws exactly one word per survivor
+        floor = DB_VECTOR_THRESHOLD[m]
+        expected = np.count_nonzero(cosine_products(1, 0, m, n) > floor)
+        drawn.clear()
+        survivors = _chunk_geometry(scheme, m, 1, 0, n, floor)
+        assert len(survivors) == expected > 0
+        cosine_words = math.ceil((m - 1) * n / 2)
+        assert drawn[0] == cosine_words and sum(drawn[1:]) == len(survivors)
 
     @pytest.mark.parametrize("count", [1, 2, 7, 1000, 3 * CHUNK_SIZE + 1])
     @pytest.mark.parametrize("seed, chunk", [(0, 0), (2024, 11), (2 ** 64 - 1, 2 ** 64 - 1)])
@@ -231,6 +230,30 @@ class TestSamplers:
 
 
 SCHEME_PAIRS = [("dihedral", 2), ("haar", 2), ("haar", 3), ("isotropic", 2), ("isotropic", 3)]
+
+
+def record_draws(monkeypatch):
+    """Patch ``chunk_rng`` to record the words of every draw; returns the list of sizes."""
+    drawn = []
+    real_rng = montecarlo.chunk_rng
+
+    class RecordingGenerator:
+        def __init__(self, seed, chunk_index):
+            self._rng = real_rng(seed, chunk_index)
+
+        def integers(self, low, high, size, dtype):
+            assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+            drawn.append(int(np.prod(size)))
+            return self._rng.integers(low, high, size, dtype)
+
+    monkeypatch.setattr(montecarlo, "chunk_rng", RecordingGenerator)
+    return drawn
+
+
+def cosine_products(seed, chunk, m, n):
+    """Stage 1 of an isotropic chunk: u, or u_A u_B from the low and high halves of n words."""
+    cosines = montecarlo._chunk_uniforms(seed, chunk, (m - 1) * n)
+    return cosines if m == 2 else cosines[:n] * cosines[n:]
 
 
 def reference_rotations(quat):
@@ -360,8 +383,13 @@ class TestThresholdCounting:
             [finite, np.nextafter(finite, 0.0), np.nextafter(finite, np.inf), noise, [0.0, 1.0]]
         )
 
-        def geometry(scheme, m, seed, chunk_index, size):
+        def samples(chunk_index, size):
             return np.resize(np.roll(pool, chunk_index), size)
+
+        def geometry(scheme, m, seed, chunk_index, size, floor):
+            # an isotropic chunk returns only the samples above the run's floor
+            drawn = samples(chunk_index, size)
+            return drawn[drawn > floor]
 
         cfg = MCConfig(m=m, scheme="isotropic", mu_grid=tuple(mus), n_samples=n_samples,
                        bound_factor=factor)
@@ -369,7 +397,7 @@ class TestThresholdCounting:
             patch.setattr(montecarlo, "_chunk_geometry", geometry)
             estimates = violation_probability(cfg)
         expected = sum(
-            (geometry(None, m, None, c, size)[None, :] > thresholds[:, None]).sum(axis=1)
+            (samples(c, size)[None, :] > thresholds[:, None]).sum(axis=1)
             for c, size in montecarlo._chunk_plan(n_samples)
         )
         assert [est.p_violation for est in estimates] == list(expected / n_samples)
@@ -551,6 +579,166 @@ class TestWordCount:
         assert violation_probability(cfg) == expected
         plan = montecarlo._chunk_plan(cfg.n_samples)
         assert drawn == {c: math.ceil(size / 2) for c, size in plan}
+
+
+def sine_reduction(v_a, v_b, products):
+    """The engine's isotropic geometry, 4 sqrt((v_a - v_a^2) (v_b - v_b^2)) times the cosine product."""
+    return 4.0 * np.sqrt((v_a - v_a * v_a) * (v_b - v_b * v_b)) * products
+
+
+def reference_cosine_products(alice, bob):
+    """The cosine product of full direction vectors, with n = a1 x a2 for each party.
+
+    |n_A . n_B| / (|n_A| |n_B|) for pairs; u_A u_B with u = |a3 . n| / |n| for triads.
+    """
+    normal_a = np.cross(alice[:, 0], alice[:, 1])
+    normal_b = np.cross(bob[:, 0], bob[:, 1])
+    size_a, size_b = np.linalg.norm(normal_a, axis=1), np.linalg.norm(normal_b, axis=1)
+    if alice.shape[1] == 2:
+        return np.abs(np.einsum("ni,ni->n", normal_a, normal_b)) / (size_a * size_b)
+    u_a = np.abs(np.einsum("ni,ni->n", alice[:, 2], normal_a)) / size_a
+    u_b = np.abs(np.einsum("ni,ni->n", bob[:, 2], normal_b)) / size_b
+    return u_a * u_b
+
+
+class TestIsotropicStages:
+    """Isotropic chunks draw their sine factors only for samples whose cosine product exceeds F."""
+
+    def test_the_sine_factor_never_exceeds_one(self):
+        # x = v - v^2 as the engine rounds it stays at most 1/4 at every lattice
+        # v within 2^20 halves of j = 2^31 and at both ends of [0, 1]; so
+        # 4 sqrt(x_A x_B) <= 1 and a sample's geometry is at most its cosine product
+        span = 1 << 20
+        for start, stop in ((0, span), ((1 << 31) - span, (1 << 31) + span), ((1 << 32) - span, 1 << 32)):
+            v = lattice(np.arange(start, stop))
+            x = v - v * v
+            largest = x.max()
+            assert largest <= 0.25
+            assert np.all(4.0 * np.sqrt(x * largest) <= 1.0)
+        # next to v = 1/2 the bound is reached: the cut has no margin to spare
+        v = lattice([2 ** 31 - 1, 2 ** 31])
+        assert np.all(v - v * v == 0.25)
+        assert 4.0 * math.sqrt(0.25 * 0.25) == 1.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    # at 1 - 2^-32 the pairs' floor T_2 - 2^-33 is itself a lattice uniform,
+    # which must not survive: a survivor's cosine product exceeds F
+    @pytest.mark.parametrize("factor", [5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -32, 1.0, 1.2, 3.0])
+    def test_samples_at_or_below_the_floor_cannot_violate(self, monkeypatch, m, factor):
+        floor = min(1.0, factor) * DB_VECTOR_THRESHOLD[m]
+        rng = np.random.default_rng(5)
+        n = 1001
+        cut = montecarlo._lattice_cutoff(floor)
+        if m == 2:
+            # random cosines, both ends of [0, 1], 1/2 and the halves around the floor
+            special = [0, 1, 2 ** 31 - 1, 2 ** 31, TOP_HALF - 1, TOP_HALF]
+            special += [min(max(cut + d, 0), TOP_HALF) for d in range(-3, 4)]
+            halves = np.concatenate([special, rng.integers(0, 2 ** 32, n - len(special))])
+            cosine_words = layout_words(halves, unused=rng.integers(2 ** 32))
+            products = lattice(halves)
+        else:
+            # u_A at random; half of the u_B within two halves of floor / u_A
+            halves_a = rng.integers(0, 2 ** 32, n)
+            near = np.rint(floor / lattice(halves_a) * 2.0 ** 32 - 0.5) + rng.integers(-2, 3, n)
+            halves_b = np.where(rng.random(n) < 0.5, near, rng.integers(0, 2 ** 32, n))
+            halves_a, halves_b = halves_a.astype(np.uint64), np.clip(halves_b, 0, TOP_HALF).astype(np.uint64)
+            cosine_words = halves_a | (halves_b << np.uint64(32))
+            products = lattice(halves_a) * lattice(halves_b)
+        # stage-2 words: v next to 1/2 first, then random
+        middle = [2 ** 31 | (2 ** 31 << 32), (2 ** 31 - 1) | (2 ** 31 << 32)]
+        v_words = np.concatenate([np.array(middle, dtype=np.uint64),
+                                  rng.integers(0, 2 ** 64, n - 2, dtype=np.uint64, endpoint=False)])
+        patch_words(monkeypatch, np.concatenate([cosine_words.astype(np.uint64), v_words]))
+        survivors = products > floor
+        geom = _chunk_geometry("isotropic", m, 0, 0, n, floor)
+        # survivor i reduces the low and high halves of stage-2 word i
+        k = np.count_nonzero(survivors)
+        v_a, v_b = lattice(v_words[:k] & np.uint64(TOP_HALF)), lattice(v_words[:k] >> np.uint64(32))
+        assert np.array_equal(geom, sine_reduction(v_a, v_b, products[survivors]))
+        # every other sample's full geometry, with v = 1/2 (the largest sine
+        # factor) and with the words it draws when nothing is cut (floor 0)
+        worst = sine_reduction(np.full(n, 0.5), np.full(n, 0.5), products)
+        drawn = _chunk_geometry("isotropic", m, 0, 0, n, 0.0)
+        mus = (0.0, 0.5, 0.9, 1.0)
+        for full in (worst, drawn):
+            cut_geom = full[~survivors]
+            assert np.all(cut_geom <= floor)
+            for mu in mus:
+                assert np.all(cut_geom <= montecarlo._threshold(m, mu, factor))
+                assert np.all(mu ** m * cut_geom - factor * DB_VECTOR_THRESHOLD[m] <= 0.0)
+        # end to end, a grid counts the survivors' geometry
+        estimates = violation_probability(MCConfig(m, "isotropic", mus, n, factor))
+        assert [round(est.p_violation * n) for est in estimates] == [
+            np.count_nonzero(geom > montecarlo._threshold(m, mu, factor)) for mu in mus
+        ]
+
+    @pytest.mark.parametrize("m, factor", [(2, 1.0), (2, 0.5), (3, 1.0), (3, 0.5)])
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (7, 3), (2024, 11)])
+    def test_survivors_distributed_as_reference(self, m, factor, seed, chunk):
+        # conditioned on the cosine product exceeding F, the survivors' geometry
+        # follows that of full direction vectors conditioned the same way
+        floor = factor * DB_VECTOR_THRESHOLD[m]
+        n = 4 * CHUNK_SIZE
+        survivors = _chunk_geometry("isotropic", m, seed, chunk, n, floor)
+        # the reference draws from the next Philox key, independent of the engine's
+        alice, bob = reference_directions("isotropic", m, chunk_rng(seed, chunk + 1), n)
+        ref = reference_geometry(alice, bob)[reference_cosine_products(alice, bob) > floor]
+        stat = ks_two_sample(survivors, ref)
+        assert stat < 1.5 * 1.36 * math.sqrt(1.0 / len(survivors) + 1.0 / len(ref))
+
+    @pytest.mark.parametrize("m, seed, words", [(2, 41, 1.000), (3, 42, 1.490)])
+    def test_mean_words_per_sample(self, monkeypatch, m, seed, words):
+        # stage 2 runs for the samples whose cosine product exceeds T_m: P = 1/2
+        # for pairs, 1 - T_3 + T_3 ln T_3 for triads
+        t = DB_VECTOR_THRESHOLD[m]
+        survive = 1.0 - t if m == 2 else 1.0 - t + t * math.log(t)
+        assert round((m - 1) / 2 + survive, 3) == words
+        drawn = record_draws(monkeypatch)
+        n = 1_000_000
+        violation_probability(MCConfig(m, "isotropic", (1.0,), n, 1.0, seed))
+        cosine_words = sum(math.ceil((m - 1) * size / 2) for _, size in montecarlo._chunk_plan(n))
+        survivors = sum(drawn) - cosine_words
+        assert abs(survivors - survive * n) <= 5.0 * math.sqrt(n * survive * (1.0 - survive))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.2])
+    def test_one_point_grids_count_as_the_full_grid(self, monkeypatch, m, factor):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        mus = (0.0, 0.6, 0.8, 0.9, 1.0)
+        n = 2 * CHUNK_SIZE + 17
+        grid = violation_probability(MCConfig(m, "isotropic", mus, n, factor, seed=5))
+        for workers in (1, 2):
+            singles = [violation_probability(MCConfig(m, "isotropic", (mu,), n, factor, seed=5),
+                                             workers)[0] for mu in mus]
+            assert singles == grid
+
+    @pytest.mark.parametrize("factors, equal_columns", [((1.0, 1.1, 1.2), 3), ((0.5, 1.0), 1)])
+    def test_raised_bound_columns_equal_single_runs(self, factors, equal_columns):
+        # a row keeps the survivors of its smallest factor: every column equals a
+        # single run at factors of 1 and more, and below 1 the smallest one does
+        n, mu, seed = 2 * CHUNK_SIZE + 17, 0.95, 31
+        table = raised_bound_table(factors, mu=mu, n_samples=n, seed=seed)
+        for row in table[2:]:
+            for est in row[:equal_columns]:
+                assert est.scheme == "isotropic"
+                cfg = MCConfig(est.m, "isotropic", (mu,), n, est.bound_factor, seed)
+                assert violation_probability(cfg) == [est]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("grid, hist", [("0:1:0.01", []), ("0.95", ["--hist", "20"])])
+    def test_output_is_byte_identical_on_one_and_two_workers(self, tmp_path, monkeypatch, m, grid, hist):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"mc{workers}.csv"
+            assert cli.main([
+                "mc", "--m", str(m), "--class", "crm", "--mu-grid", grid, "--bound-factor", "1.1",
+                "--samples", str(3 * CHUNK_SIZE + 5), "--seed", "8", "--workers", str(workers),
+                "--out", str(out), *hist,
+            ]) == 0
+            hist_out = tmp_path / f"mc{workers}.csv.hist.csv"
+            outputs.append((out.read_bytes(), hist_out.read_bytes() if hist else None))
+        assert outputs[0] == outputs[1]
 
 
 class TestWorkers:

@@ -36,6 +36,15 @@ PINNED_COUNTS = {
         ("isotropic", 2, 1.0, [0, 3871, 12235, 21645]),
         ("isotropic", 3, 1.0, [34, 10596, 20189, 29761]),
     ],
+    # version 4 draws an isotropic sample's sine factors only if its cosine
+    # product can still violate; the other schemes draw what version 3 did
+    4: [
+        ("dihedral", 2, 1.0, [0, 42918, 57493, 66532]),
+        ("haar", 2, 1.0, [0, 21890, 38378, 50087]),
+        ("haar", 3, 1.0 / DB_VECTOR_THRESHOLD[3], [0, 0, 0, 100000]),
+        ("isotropic", 2, 1.0, [0, 3900, 12336, 21764]),
+        ("isotropic", 3, 1.0, [37, 10835, 20360, 30077]),
+    ],
 }
 
 
@@ -43,6 +52,13 @@ def test_stream_version_is_pinned():
     assert STREAM_VERSION in PINNED_COUNTS, (
         f"no pinned counts for STREAM_VERSION {STREAM_VERSION}; record them in PINNED_COUNTS"
     )
+
+
+def test_version_4_moved_only_the_isotropic_draws():
+    def kept(version):
+        return [row for row in PINNED_COUNTS[version] if row[0] != "isotropic"]
+
+    assert kept(4) == kept(3)
 
 
 @pytest.mark.parametrize("scheme, m, bound_factor, counts", PINNED_COUNTS.get(STREAM_VERSION, []))
