@@ -115,7 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DB_VECTOR_THRESHOLD
-from .qcore import as_counts, as_int, as_list, as_real, as_settings_count, as_visibility
+from .qcore import as_int, as_list, as_real, as_settings_count, as_visibility
 
 #: Each sampling scheme and its measurement class: 'rom' for orthogonal
 #: measurements, 'crm' for isotropic vectors.
@@ -191,13 +191,12 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class ViolationHistogram:
-    """Density of the violation amount, conditioned on violating samples."""
+    """Density of the violation amount, conditioned on violating samples.
 
-    m: int
-    scheme: str
-    mu: float
-    bound_factor: float
-    n_samples: int
+    ``estimate`` is the violation probability counted in the same pass.
+    """
+
+    estimate: MCEstimate
     n_violations: int
     bin_edges: np.ndarray
     density: np.ndarray
@@ -475,18 +474,13 @@ def _estimate_cells(cfg: MCConfig, factors, n_workers: int, hist_edges=None):
     return estimates, totals[len(cells):]
 
 
-def violation_probability(cfg: MCConfig, n_workers: int = 1, hist_bins: int | None = None):
+def violation_probability(cfg: MCConfig, n_workers: int = 1) -> list:
     """Estimate the violation probability for each mu in the grid.
 
     Returns one :class:`MCEstimate` per grid point.  A configuration's
-    violation counts are bit-identical across worker counts.  With
-    ``hist_bins`` the same pass also bins the violation amount, and the
-    result is ``(estimates, bin_counts)``; :func:`violation_histogram` turns
-    ``bin_counts`` into a density without drawing again.
+    violation counts are bit-identical across worker counts.
     """
-    if hist_bins is None:
-        return _estimate_cells(cfg, (cfg.bound_factor,), n_workers)[0]
-    return _estimate_cells(cfg, (cfg.bound_factor,), n_workers, histogram_edges(cfg, hist_bins))
+    return _estimate_cells(cfg, (cfg.bound_factor,), n_workers)[0]
 
 
 def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
@@ -510,36 +504,21 @@ def histogram_edges(cfg: MCConfig, bins: int) -> np.ndarray:
     return np.linspace(0.0, max_violation, bins + 1)
 
 
-def violation_histogram(
-    cfg: MCConfig, bins: int = 50, n_workers: int = 1, bin_counts=None
-) -> ViolationHistogram:
+def violation_histogram(cfg: MCConfig, bins: int = 50, n_workers: int = 1) -> ViolationHistogram:
     """Histogram of the violation amount (LHS minus bound) as a density.
 
     Bins are those of :func:`histogram_edges`; the density integrates to 1
-    over the violating samples.  ``bin_counts`` from
-    ``violation_probability(cfg, hist_bins=bins)`` skips the sampling pass.
+    over the violating samples.  One pass counts the bins and the run's
+    violation probability, its ``estimate``, which equals
+    ``violation_probability(cfg)[0]``.  ValueError if no sample violates.
     """
     edges = histogram_edges(cfg, bins)
-    if bin_counts is None:
-        bin_counts = _estimate_cells(cfg, (cfg.bound_factor,), n_workers, edges)[1]
-    bin_counts = as_counts("bin_counts", bin_counts)
-    if bin_counts.shape != edges[1:].shape:
-        raise ValueError(f"bin_counts must be {len(edges) - 1} whole counts in [0, 2**53)")
+    (estimate,), bin_counts = _estimate_cells(cfg, (cfg.bound_factor,), n_workers, edges)
     n_violations = int(bin_counts.sum())
     if n_violations == 0:
         raise ValueError("no violating samples; cannot normalise a density")
-    width = edges[1] - edges[0]
-    density = bin_counts / (n_violations * width)
-    return ViolationHistogram(
-        cfg.m,
-        cfg.scheme,
-        cfg.mu_grid[0],
-        cfg.bound_factor,
-        cfg.n_samples,
-        n_violations,
-        edges,
-        density,
-    )
+    density = bin_counts / (n_violations * (edges[1] - edges[0]))
+    return ViolationHistogram(estimate, n_violations, edges, density)
 
 
 #: Row layout of the raised-bound study: (settings, scheme) per row.

@@ -37,7 +37,8 @@ def test_tracer_installs_and_uninstalls_on_the_current_package():
 
 
 def test_traced_runs_return_the_untraced_estimates(monkeypatch):
-    # the tracer wraps _map_chunks and each chunk task; the summed counts pass through
+    # the tracer wraps _map_chunks and each chunk task; the summed counts pass
+    # through, and a histogram's pass records its tasks as hist_task spans
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     n_samples = 20 * montecarlo.CHUNK_SIZE + 7
     grid = montecarlo.MCConfig(2, "isotropic", (0.8, 0.9, 1.0), n_samples, seed=5)
@@ -45,23 +46,24 @@ def test_traced_runs_return_the_untraced_estimates(monkeypatch):
     haar = montecarlo.MCConfig(2, "haar", (0.9,), n_samples, seed=7)
     expected_haar = montecarlo.violation_probability(haar, n_workers=2)
     expected_grid = montecarlo.violation_probability(grid, n_workers=2)
-    expected_point, expected_bins = montecarlo.violation_probability(point, n_workers=2, hist_bins=10)
+    expected_point = montecarlo.violation_histogram(point, 10, n_workers=2)
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
         with tracer.job():
             traced_grid = montecarlo.violation_probability(grid, n_workers=2)
-            traced_point, traced_bins = montecarlo.violation_probability(
-                point, n_workers=2, hist_bins=10
-            )
+            traced_point = montecarlo.violation_histogram(point, 10, n_workers=2)
         with tracer.job():  # a single haar pair cell, counted on the raw words
             traced_haar = montecarlo.violation_probability(haar, n_workers=2)
     finally:
         tracer.uninstall()
     assert traced_grid == expected_grid
-    assert traced_point == expected_point
-    assert traced_bins.tolist() == expected_bins.tolist()
-    assert tracer.jobs[0]["count:montecarlo.count_task"] == 2 * 21
+    assert traced_point.estimate == expected_point.estimate
+    assert traced_point.n_violations == expected_point.n_violations
+    assert traced_point.bin_edges.tolist() == expected_point.bin_edges.tolist()
+    assert traced_point.density.tolist() == expected_point.density.tolist()
+    assert tracer.jobs[0]["count:montecarlo.count_task"] == 21
+    assert tracer.jobs[0]["count:montecarlo.hist_task"] == 21
     assert traced_haar == expected_haar
     assert tracer.jobs[1]["count:montecarlo.count_task"] == 21
 

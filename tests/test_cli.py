@@ -94,6 +94,16 @@ class TestSweepCommand:
         assert cli.main(argv + list(flags)) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, grid", [
+        (["sweep", "--m", "2", "--mu", "0.9", "--alpha-grid"], "0:x:1"),
+        (["mc", "--m", "2", "--class", "rom", "--samples", "10", "--mu-grid"], "abc"),
+    ])
+    def test_non_numeric_grid_is_usage_error(self, capsys, argv, grid):
+        assert cli.main(argv + [grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"steerkit: non-numeric grid specification {grid!r}\n"
+
     @pytest.mark.parametrize("grid", ["0:inf:10", "-inf:0:1", "0:10:nan"])
     def test_non_finite_grid_is_usage_error(self, capsys, grid):
         argv = ["sweep", "--m", "2", "--mu", "0.9", f"--alpha-grid={grid}", "--criteria", "db"]

@@ -937,21 +937,20 @@ class TestViolationHistogram:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         n_samples = (two_thread_window() + 3) * CHUNK_SIZE + 99
         cfg = MCConfig(m=2, scheme="dihedral", mu_grid=(0.95,), n_samples=n_samples, seed=24)
-        estimates, bin_counts = violation_probability(cfg, n_workers=workers, hist_bins=16)
-        assert estimates == violation_probability(cfg)
-        hist = violation_histogram(cfg, bins=16)
-        reproduced = violation_histogram(cfg, bins=16, bin_counts=bin_counts)
-        assert reproduced.n_violations == hist.n_violations > 0
-        assert np.array_equal(reproduced.bin_edges, hist.bin_edges)
-        assert np.array_equal(reproduced.density, hist.density)
+        hist = violation_histogram(cfg, 16, workers)
+        assert hist.estimate == violation_probability(cfg)[0]
+        single = violation_histogram(cfg, 16, 1)
+        assert hist.estimate == single.estimate
+        assert hist.n_violations == single.n_violations > 0
+        assert np.array_equal(hist.bin_edges, single.bin_edges)
+        assert np.array_equal(hist.density, single.density)
 
     def test_rejects_bins_of_zero_width(self):
         # a subnormal violation range gave edges [0, 0, ..., 5e-324, ...] and
         # a density of nan and inf
         cfg = MCConfig(2, "haar", (2e-162,), 2000, bound_factor=5e-324, seed=1)
         for make in (lambda: montecarlo.histogram_edges(cfg, 50),
-                     lambda: violation_histogram(cfg, bins=50),
-                     lambda: violation_probability(cfg, hist_bins=50)):
+                     lambda: violation_histogram(cfg, bins=50)):
             with pytest.raises(ValueError, match="too narrow"):
                 make()
         # a narrow range of normal doubles still gives finite widths and densities
@@ -969,25 +968,6 @@ class TestViolationHistogram:
         assert len(montecarlo.histogram_edges(cfg, cap)) == cap + 1
         with pytest.raises(ValueError, match="bin count"):
             montecarlo.histogram_edges(cfg, cap + 1)
-
-    @pytest.mark.parametrize(
-        "bin_counts",
-        [[1, 2, 3], [1, 2, 3, 4, 5, 6], [[1, 2, 3, 4, 5]], [1, 2, 3, 4, -1], [1, 2, 3, 4, 0.5],
-         [1, 2, 3, 4, math.nan], [1, 2, 3, 4, math.inf], [1, 2, 3, 4, 2.0 ** 53]],
-    )
-    def test_rejects_bin_counts_that_do_not_fit_the_bins(self, bin_counts):
-        # 3 counts for 5 bins gave a 3-entry density that the CSV writer cut
-        # short silently; a negative count gave a negative density
-        cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
-        message = (r"^bin_counts must be 5 whole counts in \[0, 2\*\*53\)$" if len(bin_counts) != 5
-                   else r"^bin_counts must be whole numbers in \[0, 2\*\*53\), got ")
-        with pytest.raises(ValueError, match=message):
-            violation_histogram(cfg, bins=5, bin_counts=np.array(bin_counts))
-
-    def test_takes_whole_float_bin_counts(self):
-        cfg = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
-        hist = violation_histogram(cfg, bins=2, bin_counts=[1.0, 3])
-        assert hist.n_violations == 4 and list(hist.density) == [1.0, 3.0]
 
 
 class TestRaisedBoundTable:
@@ -1085,9 +1065,15 @@ class TestEntryPointProperties:
         except ValueError:
             return
         assert len(edges) == bins + 1 and np.all(np.isfinite(edges))
-        estimates, bin_counts = violation_probability(cfg, hist_bins=bins)
-        assert_probabilities(estimates)
-        assert bin_counts.min() >= 0 and bin_counts.sum() <= n_samples
+        try:
+            hist = violation_histogram(cfg, bins)
+        except ValueError as exc:
+            assert str(exc) == "no violating samples; cannot normalise a density"
+            return
+        assert_probabilities([hist.estimate])
+        assert np.array_equal(hist.bin_edges, edges)
+        assert 0 < hist.n_violations <= n_samples
+        assert np.all(hist.density >= 0.0) and np.all(np.isfinite(hist.density))
 
     @settings(max_examples=40)
     @given(

@@ -2,7 +2,9 @@
 
 The violation counts below were recorded from the Monte Carlo engine and pin
 its Philox streams, keyed by ``STREAM_VERSION``: any change to what a seed
-draws fails here until it bumps the version and records its own pins.
+draws fails here until it bumps the version and records its own pins.  The
+``mc --hist`` pins, keyed the same way, hold the sha256 of the estimates CSV
+and of the histogram CSV that one histogram run of each scheme writes.
 
 The ``analyze`` pins hold the sha256 of the JSON that fixed counts files and
 seeds print, keyed by ``BUDGET_STREAM_VERSION``, so any change to the
@@ -76,6 +78,48 @@ def test_violation_counts_pinned(scheme, m, bound_factor, counts):
     # a one-point grid counts without the grid's sort, sample for sample the same
     singles = [violation_probability(replace(cfg, mu_grid=(mu,)))[0] for mu in PINNED_MU_GRID]
     assert [round(est.p_violation * est.n_samples) for est in singles] == counts
+
+
+#: sha256 of the main CSV and of the ``.hist.csv`` that ``mc --hist 20`` writes
+#: at mu = 0.95 (seed 2024, 100,000 samples, bound factor 1), per stream
+#: version: rows of (scheme, m, class, main digest, histogram digest).
+PINNED_HIST = {
+    4: [
+        ("dihedral", 2, "rom",
+         "a925828247382a24bdc43e1a405fb802e1de373ebc0228caddce1476ea6cf5ea",
+         "f0e78fb9bf06111e303c0861c425c855c544731a3900797a950b4413948b1dff"),
+        ("haar", 2, "rom",
+         "18c460a0969791bc0c42a7a7163ca2a0abbb6359b6837a9c8ac02cc8ba174c9d",
+         "53c7d0eb9223e6c6acf5dea539106ab451c1da5cd1a066b4ece9d0f910881ac4"),
+        ("haar", 3, "rom",
+         "4e2a9963eb5d296dd38566991f0ea1e3b17ac37610127b050369ac6deb8a1e47",
+         "2fd8ead2661d02bd5aff20e7d9a8d556c61d374608cc5bc20d7ddea4a39ef751"),
+        ("isotropic", 2, "crm",
+         "e3e4417c60396d2d8d525899a2be2cbf8845df7922f339f6ae7328133b6d9bb2",
+         "f1b78c6ba0237391e08f5542d69a38d65cc85a97aa12251314f7ddebe3c2018b"),
+        ("isotropic", 3, "crm",
+         "5a291af89bd19159c6d34a8213149ad041ff461832951a1481515cffff4014c7",
+         "76b750841ff6ed73ab68a572235bd193902c7d7605473f4be2c3f9412937868b"),
+    ],
+}
+
+
+def test_hist_stream_version_is_pinned():
+    assert STREAM_VERSION in PINNED_HIST, (
+        f"no pinned mc --hist digests for STREAM_VERSION {STREAM_VERSION}; record them"
+    )
+
+
+@pytest.mark.parametrize("scheme, m, mc_class, main_digest, hist_digest",
+                         PINNED_HIST.get(STREAM_VERSION, []))
+def test_mc_hist_output_pinned(tmp_path, scheme, m, mc_class, main_digest, hist_digest):
+    out = tmp_path / "mc.csv"
+    argv = ["mc", "--m", str(m), "--class", mc_class, "--scheme", scheme, "--mu-grid", "0.95",
+            "--samples", "100000", "--seed", "2024", "--hist", "20", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == main_digest
+    hist = tmp_path / "mc.csv.hist.csv"
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == hist_digest
 
 
 def test_public_names_resolve():

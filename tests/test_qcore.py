@@ -15,13 +15,17 @@ from steerkit.criteria import (
     db_bound,
     db_lhs,
     db_steering,
+    renyi_steering,
     sweep,
+    tsallis_steering,
 )
 from steerkit.entropy import (
+    arimoto_conditional_renyi,
     eur_bound_tsallis,
     q_log,
     renyi_entropy,
     shannon_entropy,
+    tsallis_directed_term,
     tsallis_entropy,
 )
 from steerkit.expio import (
@@ -53,6 +57,10 @@ from steerkit.qcore import (
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
+
+#: Ints past float range, each of which a public entry point once turned into
+#: an OverflowError ("int too large to convert to float").
+PAST_FLOAT = (2 ** 1024, 10 ** 400)
 
 
 def random_unit_vectors(n, seed):
@@ -309,6 +317,8 @@ COUNT_PARAMETERS = {
         "worker count", 1, math.inf, lambda v: raised_bound_table(n_samples=10, n_workers=v)),
     "bins": ("histogram bin count", 1, MAX_HIST_BINS,
              lambda v: histogram_edges(_mc_config(mu_grid=(1.0,)), v)),
+    "violation_histogram bins": ("histogram bin count", 1, MAX_HIST_BINS,
+                                 lambda v: violation_histogram(_mc_config(mu_grid=(1.0,)), v)),
     "bootstrap": (
         "bootstrap replicate count", 0, MAX_BOOTSTRAP,
         lambda v: evaluate_with_errors(_counts_data(), [Criterion("shannon")], v, 0.0)),
@@ -354,10 +364,17 @@ class TestIntegerRule:
     @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
     def test_values_outside_the_range_raise_the_rule_message(self, parameter):
         name, lo, hi, call = COUNT_PARAMETERS[parameter]
-        for value in (lo - 1, hi + 1) if hi != math.inf else (lo - 1,):
+        refused = [lo - 1, *(-big for big in PAST_FLOAT)]
+        if hi != math.inf:
+            refused += [hi + 1, *PAST_FLOAT]
+        for value in refused:
             kind, result = _call_with_timeout(call, value)
             assert kind == "raised" and type(result) is ValueError
             assert str(result) == f"{name} must lie in [{lo}, {hi}], got {value}"
+        if hi == math.inf:  # workers past the chunks are not started; any seed is a seed
+            for value in PAST_FLOAT:
+                kind, result = _call_with_timeout(call, value)
+                assert kind == "returned", result
 
     @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
     def test_numpy_integers_are_accepted(self, parameter):
@@ -383,6 +400,7 @@ RENYI = ("Renyi order", 0.5, math.inf, "[0.5, inf)")  # inf itself, the min-entr
 FACTOR = ("bound factor", math.ulp(0.0), math.inf, "[5e-324, inf)")
 
 _SHANNON = [Criterion("shannon")]
+_SINGLET_Z = joint_table_closed(1.0, Z, Z)
 
 #: Each public real parameter: its range, an integer value it accepts, and a
 #: call that passes a value to it and nothing else out of the ordinary.
@@ -415,7 +433,12 @@ REAL_PARAMETERS = {
     "MCConfig bound_factor": (FACTOR, 1, lambda v: _mc_config(bound_factor=v)),
     "raised_bound_table factor": (FACTOR, 1, lambda v: raised_bound_table((1.0, v), 0.9, 10)),
     "raised_bound_table mu": (VISIBILITY, 1, lambda v: raised_bound_table((1.0,), v, 10)),
+    "tsallis_directed_term q": (TSALLIS, 2, lambda v: tsallis_directed_term(_SINGLET_Z, v)),
+    "arimoto_conditional_renyi r": (RENYI, 2, lambda v: arimoto_conditional_renyi(_SINGLET_Z, v)),
+    "tsallis_steering q": (TSALLIS, 2, lambda v: tsallis_steering([_SINGLET_Z] * 2, v)),
+    "renyi_steering r": (RENYI, 1, lambda v: renyi_steering([_SINGLET_Z] * 2, v, 1.0)),
     "db_lhs mu": (VISIBILITY, 1, lambda v: db_lhs(*mub_settings(2), v)),
+    "db_steering mu": (VISIBILITY, 1, lambda v: db_steering(*mub_settings(2), v)),
     "evaluate_with_errors jitter_deg": (
         ("jitter in degrees", 0.0, math.inf, "[0, inf)"), 1,
         lambda v: evaluate_with_errors(_counts_data(), _SHANNON, 2, v)),
@@ -431,6 +454,14 @@ def _refused_reals(lo, hi, admits_inf):
     values = [math.nan] + [end for end in (-math.inf, math.inf) if not (admits_inf and end > 0)]
     return values + [math.nextafter(end, end - 1.0 if end == lo else end + 1.0)
                      for end in (lo, hi) if math.isfinite(end)]
+
+
+def _outcome(call, value):
+    """``("returned", result)``, or ``("raised", message)`` for a ValueError."""
+    try:
+        return "returned", call(value)
+    except ValueError as exc:
+        return "raised", str(exc)
 
 
 class TestRealRule:
@@ -450,7 +481,7 @@ class TestRealRule:
     def test_non_reals_raise_the_type_message(self, parameter, value):
         # None raised TypeError in a dozen entry points; "0.5" passed Scenario, sweep and Renyi
         (name, _, _, _), _, call = REAL_PARAMETERS[parameter]
-        if value is None and parameter in ("Criterion r", "Criterion s"):
+        if value is None and parameter in ("Criterion r", "Criterion s", "renyi_steering r"):
             return  # None selects the default order, (1/2, inf)
         with pytest.raises(ValueError) as info:
             call(value)
@@ -460,10 +491,20 @@ class TestRealRule:
     @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
     def test_values_outside_the_range_raise_the_range_message(self, parameter):
         (name, lo, hi, interval), _, call = REAL_PARAMETERS[parameter]
-        for value in _refused_reals(lo, hi, admits_inf=name == "Renyi order"):
+        admits_inf = name == "Renyi order"
+        for value in _refused_reals(lo, hi, admits_inf):
             with pytest.raises(ValueError) as info:
                 call(value)
             assert str(info.value) == f"{name} must lie in {interval}, got {value}"
+        # an int past float range reads as the infinity of its sign
+        for value in [-big for big in PAST_FLOAT] + ([] if admits_inf else list(PAST_FLOAT)):
+            with pytest.raises(ValueError) as info:
+                call(value)
+            shown = "-inf" if value < 0 else "inf"
+            assert str(info.value) == f"{name} must lie in {interval}, got {shown}"
+        if admits_inf:  # inf, the min-entropy's order, passes the rule
+            for value in PAST_FLOAT:
+                assert _outcome(call, value) == _outcome(call, math.inf)
 
     @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
     def test_numpy_scalars_and_fractions_are_accepted(self, parameter):
@@ -511,7 +552,6 @@ WHOLE_COUNTS = " must be whole numbers in [0, 2**53), got nan"
 UNIT_NORM = " must be unit norm, got |v| = nan"
 
 _DIRECTIONS = np.array([Z, X])
-_HIST_CONFIG = MCConfig(m=2, scheme="haar", mu_grid=(1.0,), n_samples=100, seed=23)
 
 #: Each public array parameter: its name in messages, an integer-valued array it
 #: accepts, a call that passes an array to it and nothing else out of the
@@ -527,9 +567,6 @@ ARRAY_PARAMETERS = {
     "CountsData bob": ("measurement direction", _DIRECTIONS,
                        lambda v: CountsData(np.ones((2, 2, 2)), _DIRECTIONS, v), UNIT_NORM),
     "counts_to_table": ("counts", [[1, 2], [3, 4]], lambda v: counts_to_table(v), WHOLE_COUNTS),
-    "violation_histogram bin_counts": (
-        "bin_counts", [1, 3], lambda v: violation_histogram(_HIST_CONFIG, 2, bin_counts=v),
-        WHOLE_COUNTS),
     "Scenario alice": ("measurement direction", _DIRECTIONS, lambda v: Scenario(
         0.9, mode="explicit", alice=v, bob=_DIRECTIONS), UNIT_NORM),
     "Scenario bob": ("measurement direction", _DIRECTIONS, lambda v: Scenario(
@@ -540,6 +577,7 @@ ARRAY_PARAMETERS = {
                         lambda v: db_steering(_DIRECTIONS, v, 0.9), UNIT_NORM),
     "joint_table_closed a_vec": ("measurement direction", Z,
                                  lambda v: joint_table_closed(0.9, v, Z), UNIT_NORM),
+    "bloch_projector": ("measurement direction", Z, lambda v: bloch_projector(v, 1), UNIT_NORM),
     "synthesize_counts alice": ("measurement direction", _DIRECTIONS,
                                 lambda v: synthesize_counts(0.9, v, _DIRECTIONS, 100), UNIT_NORM),
     "joint_table_trace rho": ("density matrix", np.diag([1, 0, 0, 0]),
@@ -614,6 +652,14 @@ class TestArrayRule:
         with pytest.raises(ValueError) as info:
             call(_with_entry(valid, math.nan, dtype))
         assert str(info.value).startswith(name + message)
+
+    @pytest.mark.parametrize("parameter", ARRAY_PARAMETERS)
+    def test_entries_past_float_range_raise_the_range_message(self, parameter):
+        name, valid, call, _ = ARRAY_PARAMETERS[parameter]
+        for value in [*PAST_FLOAT, *(-big for big in PAST_FLOAT)]:
+            with pytest.raises(ValueError) as info:
+                call(_with_entry(valid, value))
+            assert str(info.value) == f"{name} has an entry past float range"
 
     @pytest.mark.parametrize("parameter", ARRAY_PARAMETERS)
     def test_float32_int64_and_fraction_entries_are_accepted(self, parameter):
